@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline equivalence engine-equivalence checkpoint-equivalence timer-boundary conformance personality-overhead dse-check simd campaign-resume
+.PHONY: check test build vet race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline equivalence engine-equivalence checkpoint-equivalence timer-boundary iss-differential conformance personality-overhead dse-check simd campaign-resume
 
 check: ## full tier-1 gate: vet + build + race tests + simfuzz soak
 	./scripts/check.sh
@@ -73,7 +73,10 @@ bench-dse-baseline: ## re-record BENCH_dse.json (review the diff!)
 
 timer-boundary: ## timing-wheel boundary ordering: differential harness vs reference heap + RunUntil edges
 	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
-	go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
+	go test -run 'TestRunUntilBoundary|TestWaitFor' -count=1 ./internal/sim
+
+iss-differential: ## fused ISS loop vs the one-Step-per-instruction reference: random programs at batch sizes 1/7/64 (traps, IRQs, every fault, self-loops)
+	go test -run 'TestFusedLoopMatchesReference|TestSelfLoopClosedForm' -count=1 ./internal/iss
 
 equivalence: ## indexed-vs-linear ready-queue byte-equivalence matrix
 	go test -run 'TestReadyQueueEquivalence' -count=1 ./internal/simcheck

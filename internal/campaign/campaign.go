@@ -137,17 +137,21 @@ func Open(opts Options) (*Server, error) {
 		stop:         make(chan struct{}),
 		dispatchDone: make(chan struct{}),
 	}
-	if err := s.resume(st); err != nil {
+	backlog, err := s.resume(st)
+	if err != nil {
 		log.Close()
 		return nil, err
 	}
-	go s.dispatch()
+	go s.dispatch(backlog)
 	return s, nil
 }
 
-// resume rebuilds live jobs from the materialized run state and
-// requeues everything unfinished, in acceptance order.
-func (s *Server) resume(st *runstate.State) error {
+// resume rebuilds live jobs from the materialized run state and returns
+// everything unfinished, in acceptance order. The backlog bypasses the
+// bounded queue: a directory may hold more unfinished jobs than
+// QueueDepth, and nothing drains the queue before Open returns.
+func (s *Server) resume(st *runstate.State) ([]*Job, error) {
+	var backlog []*Job
 	for _, rj := range st.Jobs {
 		var id int
 		if _, err := fmt.Sscanf(rj.ID, "job-%d", &id); err == nil && id >= s.nextID {
@@ -169,7 +173,7 @@ func (s *Server) resume(st *runstate.State) error {
 			close(j.done)
 		default:
 			if owner, dup := s.reg.Claim(rj.Key, rj.ID); dup {
-				return fmt.Errorf("campaign: jobs %s and %s share idempotency key %s", owner, rj.ID, rj.Key)
+				return nil, fmt.Errorf("campaign: jobs %s and %s share idempotency key %s", owner, rj.ID, rj.Key)
 			}
 		}
 		if rj.Status == runstate.StatusDone {
@@ -183,13 +187,13 @@ func (s *Server) resume(st *runstate.State) error {
 			// they still derive to the journaled keys.
 			key, cells, err := buildJob(rj.Kind, rj.Payload)
 			if err != nil {
-				return fmt.Errorf("campaign: job %s payload no longer builds: %w", rj.ID, err)
+				return nil, fmt.Errorf("campaign: job %s payload no longer builds: %w", rj.ID, err)
 			}
 			if key != rj.Key {
-				return fmt.Errorf("campaign: job %s key drift: log says %s, payload derives %s", rj.ID, rj.Key, key)
+				return nil, fmt.Errorf("campaign: job %s key drift: log says %s, payload derives %s", rj.ID, rj.Key, key)
 			}
 			if len(cells) != len(rj.Cells) {
-				return fmt.Errorf("campaign: job %s cell drift: log says %d cells, payload derives %d",
+				return nil, fmt.Errorf("campaign: job %s cell drift: log says %d cells, payload derives %d",
 					rj.ID, len(rj.Cells), len(cells))
 			}
 			j.cells = cells
@@ -197,7 +201,7 @@ func (s *Server) resume(st *runstate.State) error {
 			j.cellHash = make([]string, len(cells))
 			for i, c := range rj.Cells {
 				if cells[i].key != c.Key {
-					return fmt.Errorf("campaign: job %s cell %d key drift: log says %s, payload derives %s",
+					return nil, fmt.Errorf("campaign: job %s cell %d key drift: log says %s, payload derives %s",
 						rj.ID, i, c.Key, cells[i].key)
 				}
 				j.cellDone[i] = c.Done
@@ -208,10 +212,10 @@ func (s *Server) resume(st *runstate.State) error {
 		s.order = append(s.order, j.ID)
 		if rj.Status == runstate.StatusQueued || rj.Status == runstate.StatusRunning {
 			j.status = runstate.StatusQueued
-			s.queue <- j
+			backlog = append(backlog, j)
 		}
 	}
-	return nil
+	return backlog, nil
 }
 
 // Submit accepts a job. A submission whose idempotency key matches an
@@ -268,9 +272,18 @@ func (s *Server) Submit(kind string, payload []byte) (id string, dup bool, err e
 
 // dispatch is the single dispatcher goroutine: jobs run one at a time
 // in acceptance order (cells fan out within a job), which keeps result
-// assembly deterministic at any worker count.
-func (s *Server) dispatch() {
+// assembly deterministic at any worker count. The resumed backlog was
+// accepted before anything in the queue, so it runs first.
+func (s *Server) dispatch(backlog []*Job) {
 	defer close(s.dispatchDone)
+	for _, j := range backlog {
+		select {
+		case <-s.stop:
+			return
+		default:
+			s.process(j)
+		}
+	}
 	for {
 		select {
 		case <-s.stop:
@@ -398,7 +411,9 @@ func (s *Server) runCell(j *Job, i int) ([]byte, error) {
 			return nil, err
 		}
 		s.execs.Add(1)
-		s.cache.PutBytes(c.key, b)
+		if err := s.cache.PutBytes(c.key, b); err != nil {
+			return nil, err // never journal done for bytes a restart cannot find
+		}
 		if rep != nil {
 			j.mu.Lock()
 			j.reports[i] = rep

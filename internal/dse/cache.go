@@ -66,10 +66,10 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits, Misses: c.misses}
 }
 
-// Err returns the first persistence failure, if any. Lookups fall back
-// to evaluation on read errors and keep working in memory on write
+// Err returns the first persistence failure, if any. Sweep lookups fall
+// back to evaluation on read errors and keep working in memory on write
 // errors, so a bad cache directory degrades to a cold cache rather than
-// failing the sweep.
+// failing the sweep. PutBytes also returns its write errors.
 func (c *Cache) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,25 +139,31 @@ func (c *Cache) GetBytes(key string) ([]byte, bool) {
 
 // PutBytes stores an opaque result payload under key, persisting it
 // (checksummed, via a temp-file rename so readers never observe a torn
-// entry) when the cache has a directory. Write failures are recorded in
-// Err, not propagated — the in-memory entry still serves this process.
-func (c *Cache) PutBytes(key string, data []byte) {
+// entry) when the cache has a directory. A write failure is returned
+// (and recorded in Err), and the payload is then not kept in memory
+// either: a caller that journals "stored" only after PutBytes succeeds
+// can rely on every later process finding the bytes on disk.
+func (c *Cache) PutBytes(key string, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cp := append([]byte(nil), data...)
+	if c.dir != "" {
+		path := c.binPath(key)
+		tmp := path + ".tmp"
+		err := os.WriteFile(tmp, encodeBin(cp), 0o644)
+		if err == nil {
+			err = os.Rename(tmp, path)
+		}
+		if err != nil {
+			err = fmt.Errorf("dse: cache persist: %w", err)
+			if c.saveErr == nil {
+				c.saveErr = err
+			}
+			return err
+		}
+	}
 	c.memB[key] = cp
-	if c.dir == "" {
-		return
-	}
-	path := c.binPath(key)
-	tmp := path + ".tmp"
-	err := os.WriteFile(tmp, encodeBin(cp), 0o644)
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil && c.saveErr == nil {
-		c.saveErr = fmt.Errorf("dse: cache persist: %w", err)
-	}
+	return nil
 }
 
 // binPath maps a key to its opaque-bytes file: sha256(key).bin.

@@ -89,178 +89,252 @@ func (c *CPU) lowestIRQ() int {
 	return -1
 }
 
-// fault stops execution with an error.
-func (c *CPU) fault(format string, args ...interface{}) uint64 {
-	c.err = fmt.Errorf("iss: "+format+" (pc=%d cycles=%d)", append(args, c.PC, c.Cycles)...)
+// fail stops execution with an error that reports the given program
+// counter and cycle count (the interpreter keeps both in locals, so the
+// CPU fields may be stale when a fault is detected).
+func (c *CPU) fail(pc int64, cycles uint64, format string, args ...interface{}) {
+	c.err = fmt.Errorf("iss: "+format+" (pc=%d cycles=%d)", append(args, pc, cycles)...)
 	c.Halted = true
-	return 1
 }
 
-func (c *CPU) load(addr int64) int64 {
-	if addr < 0 || addr >= int64(len(c.Mem)) {
-		c.fault("load from bad address %d", addr)
-		return 0
-	}
-	return c.Mem[addr]
-}
+// stop says why RunBatch's loop ended before its budget ran out.
+type stop uint8
 
-func (c *CPU) store(addr, v int64) {
-	if addr < 0 || addr >= int64(len(c.Mem)) {
-		c.fault("store to bad address %d", addr)
-		return
-	}
-	c.Mem[addr] = v
-}
-
-func (c *CPU) push(v int64) {
-	c.SP--
-	if c.SP < 0 {
-		c.fault("stack overflow")
-		return
-	}
-	c.Mem[c.SP] = v
-}
-
-func (c *CPU) pop() int64 {
-	if c.SP >= int64(len(c.Mem)) {
-		c.fault("stack underflow")
-		return 0
-	}
-	v := c.Mem[c.SP]
-	c.SP++
-	return v
-}
-
-func (c *CPU) setFlags(v int64) {
-	c.FlagZ = v == 0
-	c.FlagN = v < 0
-}
+const (
+	stopNone  stop = iota // budget used up
+	stopFetch             // PC outside the code: nothing retired
+	// Every later reason retires the instruction that raised it.
+	stopHalt
+	stopIllegal // an opcode outside the ISA: not costed
+	stopTrap    // costed once the handler returns
+	stopLoad    // the memory and stack faults are costed
+	stopStore
+	stopOverflow
+	stopUnderflow
+)
 
 // Step executes one instruction (servicing a pending interrupt first) and
-// returns the cycles it consumed. On a halted CPU, Step returns 0.
-func (c *CPU) Step() uint64 {
-	if c.Halted {
-		return 0
-	}
-	if c.irqMask != 0 && c.IntEnable && c.IRQHandler != nil {
-		line := c.lowestIRQ()
-		cost := 6 + c.IRQHandler(line) // 6-cycle interrupt entry + kernel time
-		c.Cycles += cost
-		return cost
-	}
-	if c.PC < 0 || c.PC >= int64(len(c.Code)) {
-		return c.fault("instruction fetch from bad address %d", c.PC)
-	}
-	in := c.Code[c.PC]
-	c.PC++
-	c.Insts++
-	cost := cycleCost[in.Op]
-
-	switch in.Op {
-	case OpNop:
-	case OpHalt:
-		c.Halted = true
-	case OpLdi:
-		c.Regs[in.Rd] = in.Imm
-	case OpLd:
-		c.Regs[in.Rd] = c.load(in.Imm)
-	case OpSt:
-		c.store(in.Imm, c.Regs[in.Rs])
-	case OpLdx:
-		c.Regs[in.Rd] = c.load(c.Regs[in.Rs] + in.Imm)
-	case OpStx:
-		c.store(c.Regs[in.Rd]+in.Imm, c.Regs[in.Rs])
-	case OpMov:
-		c.Regs[in.Rd] = c.Regs[in.Rs]
-	case OpAdd:
-		c.Regs[in.Rd] += c.Regs[in.Rs]
-		c.setFlags(c.Regs[in.Rd])
-	case OpAddi:
-		c.Regs[in.Rd] += in.Imm
-		c.setFlags(c.Regs[in.Rd])
-	case OpSub:
-		c.Regs[in.Rd] -= c.Regs[in.Rs]
-		c.setFlags(c.Regs[in.Rd])
-	case OpMul:
-		c.Regs[in.Rd] *= c.Regs[in.Rs]
-		c.setFlags(c.Regs[in.Rd])
-	case OpMac:
-		c.Acc += c.Regs[in.Rd] * c.Regs[in.Rs]
-	case OpClra:
-		c.Acc = 0
-	case OpRda:
-		c.Regs[in.Rd] = c.Acc
-	case OpAnd:
-		c.Regs[in.Rd] &= c.Regs[in.Rs]
-		c.setFlags(c.Regs[in.Rd])
-	case OpOr:
-		c.Regs[in.Rd] |= c.Regs[in.Rs]
-		c.setFlags(c.Regs[in.Rd])
-	case OpXor:
-		c.Regs[in.Rd] ^= c.Regs[in.Rs]
-		c.setFlags(c.Regs[in.Rd])
-	case OpShl:
-		c.Regs[in.Rd] <<= uint(in.Imm)
-		c.setFlags(c.Regs[in.Rd])
-	case OpShr:
-		c.Regs[in.Rd] >>= uint(in.Imm)
-		c.setFlags(c.Regs[in.Rd])
-	case OpCmp:
-		c.setFlags(c.Regs[in.Rd] - c.Regs[in.Rs])
-	case OpCmpi:
-		c.setFlags(c.Regs[in.Rd] - in.Imm)
-	case OpBeq:
-		if c.FlagZ {
-			c.PC = in.Imm
-		}
-	case OpBne:
-		if !c.FlagZ {
-			c.PC = in.Imm
-		}
-	case OpBlt:
-		if c.FlagN {
-			c.PC = in.Imm
-		}
-	case OpBge:
-		if !c.FlagN {
-			c.PC = in.Imm
-		}
-	case OpJmp:
-		c.PC = in.Imm
-	case OpCall:
-		c.push(c.PC)
-		c.PC = in.Imm
-	case OpRet:
-		c.PC = c.pop()
-	case OpPush:
-		c.push(c.Regs[in.Rs])
-	case OpPop:
-		c.Regs[in.Rd] = c.pop()
-	case OpTrap:
-		if c.TrapHandler == nil {
-			return c.fault("unhandled trap %d", in.Imm)
-		}
-		cost += c.TrapHandler(in.Imm)
-	default:
-		return c.fault("illegal opcode %d", int(in.Op))
-	}
-	c.Cycles += cost
-	return cost
-}
+// returns the cycles it consumed. On a halted CPU, Step returns 0. It is
+// RunBatch with a budget of one instruction.
+func (c *CPU) Step() uint64 { return c.RunBatch(1) }
 
 // RunBatch executes up to maxInsts instructions, stopping early on halt,
 // fault, or after a trap/interrupt (so the caller can synchronize modeled
 // time with the embedding simulation at kernel-visible points). It returns
 // the cycles consumed.
+//
+// A pending interrupt is taken only at batch entry, and then it is the
+// whole batch. That loses nothing: the interrupt mask and IntEnable change
+// only between batches or inside a trap or interrupt handler, and a trap
+// ends the batch too. A line that is asserted and enabled but has no
+// handler still ends the batch after one instruction.
+//
+// The loop keeps PC, the flags, the budget and the cycle counter in
+// locals and calls nothing: traps and faults leave it with a stop reason
+// and are handled after it, once the CPU fields are written back. A jmp
+// to its own address retires the rest of the batch in closed form;
+// nothing else can run inside the batch, so the counters advance exactly
+// as if the loop were interpreted.
 func (c *CPU) RunBatch(maxInsts int) uint64 {
-	var cycles uint64
-	for i := 0; i < maxInsts && !c.Halted; i++ {
-		trapOrIRQ := (c.irqMask != 0 && c.IntEnable) ||
-			(c.PC >= 0 && c.PC < int64(len(c.Code)) && c.Code[c.PC].Op == OpTrap)
-		cycles += c.Step()
-		if trapOrIRQ {
+	if c.Halted || maxInsts <= 0 {
+		return 0
+	}
+	if c.irqMask != 0 && c.IntEnable {
+		if c.IRQHandler != nil {
+			cost := 6 + c.IRQHandler(c.lowestIRQ()) // 6-cycle interrupt entry + kernel time
+			c.Cycles += cost
+			return cost
+		}
+		maxInsts = 1
+	}
+	code := c.Code
+	pc, z, neg, cycles := c.PC, c.FlagZ, c.FlagN, c.Cycles
+	var (
+		why  stop
+		arg  int64  // faulting address, opcode or trap number; PC after a stack fault
+		cost uint64 // cost of a faulting instruction, already in cycles
+	)
+	n := maxInsts
+loop:
+	for ; n > 0; n-- {
+		if uint64(pc) >= uint64(len(code)) {
+			why = stopFetch
 			break
 		}
+		in := &code[pc]
+		pc++
+		op := in.Op
+		if uint(op) >= uint(opCount) {
+			why, arg = stopIllegal, int64(op)
+			break
+		}
+		cycles += cycleCost[op]
+		switch op {
+		case OpNop:
+		case OpHalt:
+			why = stopHalt
+			break loop
+		case OpLdi:
+			c.Regs[in.Rd] = in.Imm
+		case OpLd, OpLdx:
+			a := in.Imm
+			if op == OpLdx {
+				a += c.Regs[in.Rs]
+			}
+			if uint64(a) >= uint64(len(c.Mem)) {
+				c.Regs[in.Rd] = 0
+				why, arg, cost = stopLoad, a, cycleCost[op]
+				break loop
+			}
+			c.Regs[in.Rd] = c.Mem[a]
+		case OpSt, OpStx:
+			a := in.Imm
+			if op == OpStx {
+				a += c.Regs[in.Rd]
+			}
+			if uint64(a) >= uint64(len(c.Mem)) {
+				why, arg, cost = stopStore, a, cycleCost[op]
+				break loop
+			}
+			c.Mem[a] = c.Regs[in.Rs]
+		case OpMov:
+			c.Regs[in.Rd] = c.Regs[in.Rs]
+		case OpAdd:
+			v := c.Regs[in.Rd] + c.Regs[in.Rs]
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpAddi:
+			v := c.Regs[in.Rd] + in.Imm
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpSub:
+			v := c.Regs[in.Rd] - c.Regs[in.Rs]
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpMul:
+			v := c.Regs[in.Rd] * c.Regs[in.Rs]
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpMac:
+			c.Acc += c.Regs[in.Rd] * c.Regs[in.Rs]
+		case OpClra:
+			c.Acc = 0
+		case OpRda:
+			c.Regs[in.Rd] = c.Acc
+		case OpAnd:
+			v := c.Regs[in.Rd] & c.Regs[in.Rs]
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpOr:
+			v := c.Regs[in.Rd] | c.Regs[in.Rs]
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpXor:
+			v := c.Regs[in.Rd] ^ c.Regs[in.Rs]
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpShl:
+			v := c.Regs[in.Rd] << uint(in.Imm)
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpShr:
+			v := c.Regs[in.Rd] >> uint(in.Imm)
+			c.Regs[in.Rd], z, neg = v, v == 0, v < 0
+		case OpCmp:
+			v := c.Regs[in.Rd] - c.Regs[in.Rs]
+			z, neg = v == 0, v < 0
+		case OpCmpi:
+			v := c.Regs[in.Rd] - in.Imm
+			z, neg = v == 0, v < 0
+		case OpBeq:
+			if z {
+				pc = in.Imm
+			}
+		case OpBne:
+			if !z {
+				pc = in.Imm
+			}
+		case OpBlt:
+			if neg {
+				pc = in.Imm
+			}
+		case OpBge:
+			if !neg {
+				pc = in.Imm
+			}
+		case OpJmp:
+			if in.Imm == pc-1 {
+				// Self-loop: every remaining instruction of the batch
+				// is this jmp.
+				cycles += uint64(n-1) * cycleCost[op]
+				n = 1
+			}
+			pc = in.Imm
+		case OpCall:
+			c.SP--
+			if c.SP < 0 {
+				why, arg, cost = stopOverflow, pc, cycleCost[op]
+				pc = in.Imm
+				break loop
+			}
+			c.Mem[c.SP] = pc
+			pc = in.Imm
+		case OpRet:
+			if c.SP >= int64(len(c.Mem)) {
+				why, arg, cost = stopUnderflow, pc, cycleCost[op]
+				pc = 0
+				break loop
+			}
+			pc = c.Mem[c.SP]
+			c.SP++
+		case OpPush:
+			c.SP--
+			if c.SP < 0 {
+				why, arg, cost = stopOverflow, pc, cycleCost[op]
+				break loop
+			}
+			c.Mem[c.SP] = c.Regs[in.Rs]
+		case OpPop:
+			if c.SP >= int64(len(c.Mem)) {
+				c.Regs[in.Rd] = 0
+				why, arg, cost = stopUnderflow, pc, cycleCost[op]
+				break loop
+			}
+			c.Regs[in.Rd] = c.Mem[c.SP]
+			c.SP++
+		case OpTrap:
+			why, arg = stopTrap, in.Imm
+			break loop
+		}
 	}
-	return cycles
+	spent := cycles - c.Cycles
+	c.PC, c.FlagZ, c.FlagN = pc, z, neg
+	c.Insts += uint64(maxInsts - n)
+	if why > stopFetch {
+		c.Insts++
+	}
+	switch why {
+	case stopHalt:
+		c.Halted = true
+	case stopFetch:
+		c.fail(pc, cycles, "instruction fetch from bad address %d", pc)
+		spent++
+	case stopIllegal:
+		c.fail(pc, cycles, "illegal opcode %d", arg)
+		spent++
+	case stopTrap:
+		// The handler sees the CPU as it was before the trap is costed,
+		// and may rewrite all of it (a context switch).
+		trap := cycleCost[OpTrap]
+		c.Cycles = cycles - trap
+		if c.TrapHandler == nil {
+			c.fail(pc, c.Cycles, "unhandled trap %d", arg)
+			return spent - trap + 1
+		}
+		kernel := c.TrapHandler(arg)
+		c.Cycles += trap + kernel
+		return spent + kernel
+	case stopLoad:
+		c.fail(pc, cycles-cost, "load from bad address %d", arg)
+	case stopStore:
+		c.fail(pc, cycles-cost, "store to bad address %d", arg)
+	case stopOverflow:
+		c.fail(arg, cycles-cost, "stack overflow")
+	case stopUnderflow:
+		c.fail(arg, cycles-cost, "stack underflow")
+	}
+	c.Cycles = cycles
+	return spent
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -50,7 +51,17 @@ func Collect() Report { return CollectOnly(nil) }
 // CollectOnly runs the scenarios whose name keep accepts (nil keeps all)
 // and returns the report. Filtering happens before measurement, so a
 // restricted run costs only the scenarios it reports.
+//
+// The scenarios run with GOMAXPROCS=1. The goroutine kernel runs one
+// process goroutine at a time by construction, but with more Ps the Go
+// scheduler still moves those goroutines between Ps, and each P keeps
+// its own cache of channel-wait records and exited goroutines. How often
+// one P's cache runs dry, and so how many records the runtime allocates
+// afresh, then depends on scheduling, and allocs/op is no longer a
+// property of the code (sweep/tasks-128 read 1586-1587 on two CPUs
+// against 1583 on one). With one P the count is exact on any host.
 func CollectOnly(keep func(name string) bool) Report {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	return collect(Schema, Scenarios(), keep)
 }
 

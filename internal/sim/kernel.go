@@ -310,6 +310,27 @@ func (k *Kernel) switchTo(self *Proc) bool {
 	return false
 }
 
+// wakeAlone is the in-place form of a timed wait whose own timer, due at
+// at, would be the next thing to fire: nothing is runnable in this delta
+// cycle or the next, no stop, failure or panic is pending, at is within
+// the RunUntil horizon, and every live timer is due strictly later (a tie
+// keeps its (at, seq) order only through the timer queue). It leaves the
+// kernel exactly as addTimer, switchTo, fireTimers and the self-resume
+// would, without touching the timer backend, and reports whether it did.
+func (k *Kernel) wakeAlone(at Time) bool {
+	if k.hasReady() || len(k.next) > 0 || k.stopped || k.panicked != nil || k.runErr != nil || at > k.limit {
+		return false
+	}
+	if t, ok := k.timers.nextTime(); ok && t <= at {
+		return false
+	}
+	k.timerSeq++ // the sequence number the timer would have drawn
+	k.now, k.delta = at, 0
+	k.ready, k.readyAt = k.ready[:0], 0
+	k.Steps++
+	return true
+}
+
 // Fail stops the run with err: the innermost Run/RunUntil call returns err
 // once the calling process next yields or blocks. The first failure wins;
 // later Fail calls keep the original error. Layered runtime models (e.g.

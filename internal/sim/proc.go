@@ -197,6 +197,11 @@ func (p *Proc) WaitFor(d Time) {
 		p.YieldDelta()
 		return
 	}
+	if p.k.wakeAlone(p.k.now + d) {
+		p.wokenBy = nil
+		p.timedOut = true
+		return
+	}
 	p.timer = p.k.addTimer(p.k.now+d, p, nil)
 	p.state = StateWaitTime
 	p.yieldToKernel()

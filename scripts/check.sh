@@ -71,10 +71,22 @@ go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 # with the reference heap on every boundary case the randomized
 # differential harness can produce — slot/level edges, same-instant
 # FIFO order, front-slot (fast path) arming — and its steady state must
-# stay allocation-free.
+# stay allocation-free. The sim edge cases pin WaitFor's in-place path
+# (a solitary process advancing the clock without the timer queue) to
+# the queued path's values on both backends: the RunUntil limit, ties,
+# pending delta cycles, Stop/Fail, snapshot timer digests.
 echo "== timewheel boundary ordering + differential harness"
 go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
-go test -run 'TestRunUntilBoundary' -count=1 ./internal/sim
+go test -run 'TestRunUntilBoundary|TestWaitFor' -count=1 ./internal/sim
+
+# ISS differential: the fused RunBatch interpreter loop must match the
+# original one-Step-per-instruction interpreter (kept in ref_test.go)
+# after every batch — registers, flags, PC, SP, memory, counters, halt
+# and fault — on seeded random programs at batch sizes 1, 7 and 64,
+# covering traps, interrupts (enabled, masked, no handler), every fault
+# kind and jmp-to-self loops retired in closed form.
+echo "== ISS fused loop vs reference interpreter"
+go test -run 'TestFusedLoopMatchesReference|TestSelfLoopClosedForm' -count=1 ./internal/iss
 
 # Checkpoint equivalence: a run snapshotted at a randomized instant and
 # restored into a fresh kernel must finish with byte-identical traces and
