@@ -34,7 +34,7 @@ fuzz-eventlog: ## native Go fuzzing of the campaign event-log recovery path (30s
 simd: ## build the campaign server daemon
 	go build ./cmd/simd
 
-campaign-resume: ## kill-and-restart differential matrix: crash at every log position, resume, diff against golden (jobs 1 and 8, race detector)
+campaign-resume: ## kill-and-restart differential matrix: crash at every log position and cache segment append, resume, diff against golden (jobs 1 and 8, race detector)
 	go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache' -count=1 -v ./internal/campaign | tail -5
 
 golden: ## golden-trace diff against testdata/golden
@@ -81,9 +81,10 @@ iss-differential: ## fused ISS loop vs the one-Step-per-instruction reference: r
 equivalence: ## indexed-vs-linear ready-queue byte-equivalence matrix
 	go test -run 'TestReadyQueueEquivalence' -count=1 ./internal/simcheck
 
-engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, SDL corpus + goldens)
+engine-equivalence: ## goroutine-vs-run-to-completion engine byte-equivalence matrix (simcheck corpus, taskset matrix, SDL corpus + goldens) + campaign cell pin
 	go test -run 'TestEngineEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 	go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
+	go test -run 'TestCellEquivalence' -count=1 ./internal/campaign
 
 checkpoint-equivalence: ## snapshot/restore byte-equivalence: simcheck matrix + rtc engine suite
 	go test -run 'TestCheckpoint' -count=1 ./internal/simcheck

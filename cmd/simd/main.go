@@ -24,9 +24,29 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"repro/internal/campaign"
 )
+
+// Connection bounds of the daemon's HTTP server: a client that stalls
+// while sending its headers or request, or idles on a keep-alive
+// connection, is disconnected instead of holding a connection forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the campaign handler in the daemon's HTTP server.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	dir := flag.String("dir", "campaign.d", "campaign directory (event log, result cache, receipt key)")
@@ -51,7 +71,7 @@ func main() {
 	}
 	fmt.Printf("simd: serving %s on http://%s\n", *dir, ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -7,6 +7,12 @@
 // from the content-addressed result cache (never re-executed), lost
 // leases are requeued, and the finished campaign's results, receipts
 // and canonical run state are byte-identical to an uninterrupted run.
+//
+// Cell bytes live in the cache's append-only segment (see dse.Cache),
+// written before the cell's completion is journaled. These guarantees
+// hold against process death only: neither the log nor the segment is
+// fsynced, so a kernel crash or power loss may lose writes the process
+// saw succeed, in any order.
 package campaign
 
 import (
@@ -377,9 +383,14 @@ func (s *Server) process(j *Job) {
 //	otherwise: journal cell.started → cache probe → on miss execute and
 //	           PutBytes BEFORE journaling cell.done
 //
-// Because the bytes hit the cache before the completion record hits the
-// log, a crash between the two costs only the journal entry: the resumed
-// lease finds the bytes in the cache and never re-executes.
+// PutBytes appends the cell's bytes to the cache's segment in one write
+// and returns only after that write completed, so the bytes reach the
+// cache before the completion record reaches the log: a crash between
+// the two costs only the journal entry, and the resumed lease finds the
+// bytes in the cache and never re-executes. A crash inside the append
+// tears at most that one record, which a restart truncates away; only
+// the torn cell runs again. Both orderings hold against process death
+// only: neither the segment nor the log is fsynced.
 func (s *Server) runCell(j *Job, i int) ([]byte, error) {
 	if j.cancelled.Load() {
 		return nil, errCancelled
@@ -412,6 +423,12 @@ func (s *Server) runCell(j *Job, i int) ([]byte, error) {
 		}
 		s.execs.Add(1)
 		if err := s.cache.PutBytes(c.key, b); err != nil {
+			if errors.Is(err, dse.ErrCrash) {
+				// The drill killed the process inside the append: journal
+				// nothing more, as a dead process would not.
+				s.log.SetCrashAfter(1, 0)
+				s.noteLogErr(err)
+			}
 			return nil, err // never journal done for bytes a restart cannot find
 		}
 		if rep != nil {
@@ -649,8 +666,8 @@ func (s *Server) LogRecords() ([]eventlog.Record, error) {
 	return recs, nil
 }
 
-// Close stops the dispatcher and closes the log. Safe after a crash
-// drill.
+// Close stops the dispatcher and closes the log and the cache segment.
+// Safe after a crash drill.
 func (s *Server) Close() error {
 	select {
 	case <-s.stop:
@@ -658,7 +675,7 @@ func (s *Server) Close() error {
 		close(s.stop)
 	}
 	<-s.dispatchDone
-	return s.log.Close()
+	return errors.Join(s.log.Close(), s.cache.Close())
 }
 
 // VerifyReceipt checks a receipt against this server's signing key.

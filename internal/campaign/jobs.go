@@ -86,23 +86,26 @@ func tasksetCell(s *taskset.Set) cellSpec {
 	}
 }
 
+// runTasksetCell simulates one task set for its cell bytes and report.
+// The cell renders statistics only, so the run records no trace, and
+// the bus feeds nothing but the aggregator whose report is returned.
 func runTasksetCell(s *taskset.Set) ([]byte, *telemetry.Report, error) {
 	// The live telemetry bus is a goroutine-kernel uniprocessor feature;
 	// rtc and SMP runs still return full results, just no merged metrics.
-	var cap *telemetry.Capture
+	var agg *telemetry.Aggregator
 	var bus []*telemetry.Bus
 	if s.Engine != "rtc" && s.CPUs <= 1 {
-		cap = telemetry.NewCapture()
-		bus = append(bus, cap.Bus)
+		agg = telemetry.NewAggregator()
+		bus = append(bus, telemetry.NewBus(agg))
 	}
-	res, err := taskset.Run(s, bus...)
+	res, err := taskset.Simulate(s, nil, bus...)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rep *telemetry.Report
-	if cap != nil {
-		cap.SetEnd(res.End)
-		rep = cap.Report()
+	if agg != nil {
+		agg.SetEnd(res.End)
+		rep = agg.Report()
 	}
 	return renderTasksetResult(res), rep, nil
 }
@@ -193,10 +196,11 @@ func runSDLCell(j sdlJob) ([]byte, *telemetry.Report, error) {
 	if j.TimeModel == "segmented" {
 		tm = core.TimeModelSegmented
 	}
-	cap := telemetry.NewCapture()
+	agg := telemetry.NewAggregator()
+	bus := telemetry.NewBus(agg)
 	var b bytes.Buffer
 	if m.MultiPE() {
-		rec, oss, err := m.RunMapped(policy, tm, cap.Bus)
+		rec, oss, err := m.RunMapped(policy, tm, bus)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -214,9 +218,9 @@ func runSDLCell(j sdlJob) ([]byte, *telemetry.Report, error) {
 		if err := rec.EventList(&b); err != nil {
 			return nil, nil, err
 		}
-		return b.Bytes(), cap.Report(), nil
+		return b.Bytes(), agg.Report(), nil
 	}
-	rec, osm, err := m.RunArchitecture(policy, tm, cap.Bus)
+	rec, osm, err := m.RunArchitecture(policy, tm, bus)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,7 +231,7 @@ func runSDLCell(j sdlJob) ([]byte, *telemetry.Report, error) {
 	if err := rec.EventList(&b); err != nil {
 		return nil, nil, err
 	}
-	return b.Bytes(), cap.Report(), nil
+	return b.Bytes(), agg.Report(), nil
 }
 
 // ---- fault jobs -------------------------------------------------------

@@ -11,6 +11,11 @@
 // Receipts deliberately carry no timestamps: they are a pure function of
 // the job's content and outcome, which is what makes them comparable
 // across golden and resumed runs.
+//
+// A receipt proves what the campaign computed, not that it is durable:
+// the server fsyncs neither its event log nor its cache segment, so the
+// results a receipt covers survive the death of the server process but
+// not a kernel crash or power loss.
 package receipt
 
 import (

@@ -2,10 +2,12 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/campaign/eventlog"
 	"repro/internal/campaign/receipt"
 	"repro/internal/campaign/runstate"
 )
@@ -14,11 +16,12 @@ import (
 //
 // A mixed campaign — one job of every kind — is first run uninterrupted
 // (the golden run), then run again while being killed at every event-log
-// position and restarted until it completes. At any kill position and
-// any worker count the finished campaign must be indistinguishable from
-// the golden run: byte-identical results, byte-identical signed
-// receipts, byte-identical canonical run state — and no completed cell
-// may ever execute twice (verified by cache-hit/execution accounting).
+// position, and at every append to the cache's bytes segment, and
+// restarted until it completes. At any kill position and any worker
+// count the finished campaign must be indistinguishable from the golden
+// run: byte-identical results, byte-identical signed receipts,
+// byte-identical canonical run state — and no completed cell may ever
+// execute twice (verified by cache-hit/execution accounting).
 
 // submission is one workload entry.
 type submission struct {
@@ -73,13 +76,18 @@ type artifacts struct {
 	canonical  []byte
 	events     int
 	executions int64 // simulations actually run, summed over all lives
+	// doneExecs counts, per cell key, the cell.done records journaled
+	// for an execution (not a cache hit), summed over all lives.
+	doneExecs map[string]int
 }
 
-// crashSpec arms one life's kill: die on the nth log append, writing
-// torn bytes of the record first.
+// crashSpec arms one life's kill: die on the nth log append (or, with
+// segment set, the nth cache segment append), writing torn bytes of the
+// record first.
 type crashSpec struct {
-	after int
-	torn  int
+	after   int
+	torn    int
+	segment bool
 }
 
 const harnessKey = "differential-harness-key"
@@ -101,7 +109,11 @@ func runCampaign(t *testing.T, dir string, jobs int, crashes []crashSpec) artifa
 			t.Fatalf("life %d: %v", life, err)
 		}
 		if life < len(crashes) {
-			s.SetCrashAfter(crashes[life].after, crashes[life].torn)
+			if c := crashes[life]; c.segment {
+				s.cache.SetCrashAfter(c.after, c.torn)
+			} else {
+				s.SetCrashAfter(c.after, c.torn)
+			}
 		}
 		submittedAll := true
 		for i, w := range work {
@@ -206,7 +218,35 @@ func collectArtifacts(t *testing.T, s *Server, ids []string) artifacts {
 	}
 	art.canonical = st.Canonical()
 	art.events = len(recs)
+	art.doneExecs = executedDone(t, recs)
 	return art
+}
+
+// executedDone counts, per cell key, the cell.done records of a log
+// that report an execution rather than a cache hit.
+func executedDone(t *testing.T, recs []eventlog.Record) map[string]int {
+	t.Helper()
+	cells := map[string][]string{} // job ID → cell keys
+	n := map[string]int{}
+	for _, r := range recs {
+		switch r.Type {
+		case runstate.EvJobAccepted:
+			var a runstate.JobAccepted
+			if err := json.Unmarshal(r.Data, &a); err != nil {
+				t.Fatal(err)
+			}
+			cells[a.ID] = a.Cells
+		case runstate.EvCellDone:
+			var d runstate.CellDone
+			if err := json.Unmarshal(r.Data, &d); err != nil {
+				t.Fatal(err)
+			}
+			if !d.Cached {
+				n[cells[d.Job][d.Idx]]++
+			}
+		}
+	}
+	return n
 }
 
 // diffArtifacts asserts two finished campaigns are indistinguishable.
@@ -234,9 +274,13 @@ func diffArtifacts(t *testing.T, label string, golden, got artifacts) {
 
 // TestCrashResumeDifferentialMatrix is the headline gate: the campaign
 // is killed once at every event-log position (with a varying torn-write
-// tail) and restarted, at worker counts 1 and 8. Every resumed campaign
-// must be byte-identical to the golden run and execute zero completed
-// cells a second time.
+// tail) and once at every cache segment append (tearing 0, 7 and 14
+// bytes of the record) and restarted, at worker counts 1 and 8. Every
+// resumed campaign must be byte-identical to the golden run. A log kill
+// re-executes nothing. A segment kill lands after its cell ran but
+// before the cell's bytes were durable, so that one cell runs again —
+// and no other: no cell is journaled done from two executions, and the
+// lives execute exactly one cell more than the workload holds.
 func TestCrashResumeDifferentialMatrix(t *testing.T) {
 	work := harnessWorkload()
 	wantExecs := int64(uniqueCellCount(t, work))
@@ -262,6 +306,30 @@ func TestCrashResumeDifferentialMatrix(t *testing.T) {
 							k, got.executions, wantExecs)
 					}
 				})
+			}
+			// Every unique cell is persisted by exactly one append.
+			for k := 1; k <= int(wantExecs); k += step {
+				for _, torn := range []int{0, 7, 14} {
+					k, torn := k, torn
+					label := fmt.Sprintf("segkill@%d/torn=%d", k, torn)
+					t.Run(label, func(t *testing.T) {
+						dir := t.TempDir()
+						got := runCampaign(t, dir, jobs,
+							[]crashSpec{{after: k, torn: torn, segment: true}})
+						diffArtifacts(t, label, golden, got)
+						// Appends made after the tear must survive a restart.
+						reopenServesAll(t, dir, golden)
+						for key, n := range got.doneExecs {
+							if n > 1 {
+								t.Errorf("%s: cell %s journaled done from %d executions", label, key, n)
+							}
+						}
+						if got.executions != wantExecs+1 {
+							t.Errorf("%s: %d cells executed across lives, want %d (only the torn cell again)",
+								label, got.executions, wantExecs+1)
+						}
+					})
+				}
 			}
 		})
 	}
@@ -294,21 +362,18 @@ func TestCrashResumeRepeatedKills(t *testing.T) {
 	}
 }
 
-// TestResumeServesDoneJobsFromCache: reopening a finished campaign
-// executes nothing — results are reassembled from the cache and verified
-// against the journaled hashes.
-func TestResumeServesDoneJobsFromCache(t *testing.T) {
-	dir := t.TempDir()
-	golden := runCampaign(t, dir, 4, nil)
-
+// reopenServesAll reopens a finished campaign directory and requires
+// every golden artifact to be reassembled from the cache, executing
+// nothing. It returns the reopened server, closed at cleanup.
+func reopenServesAll(t *testing.T, dir string, golden artifacts) *Server {
+	t.Helper()
 	s, err := Open(Options{Dir: dir, Jobs: 4, Key: []byte(harnessKey)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(func() { s.Close() })
 	hitsBefore := s.CacheStats().Hits
 	got := collectArtifacts(t, s, golden.ids)
-	got.executions = golden.executions
 	diffArtifacts(t, "reopen", golden, got)
 	if n := s.Executions(); n != 0 {
 		t.Fatalf("reopening a finished campaign executed %d cells", n)
@@ -316,6 +381,16 @@ func TestResumeServesDoneJobsFromCache(t *testing.T) {
 	if hits := s.CacheStats().Hits - hitsBefore; hits == 0 {
 		t.Fatal("reassembled results took no cache hits")
 	}
+	return s
+}
+
+// TestResumeServesDoneJobsFromCache: reopening a finished campaign
+// executes nothing — results are reassembled from the cache and verified
+// against the journaled hashes.
+func TestResumeServesDoneJobsFromCache(t *testing.T) {
+	dir := t.TempDir()
+	golden := runCampaign(t, dir, 4, nil)
+	s := reopenServesAll(t, dir, golden)
 	// Idempotent resubmission after restart: same IDs, still nothing runs.
 	for i, w := range harnessWorkload() {
 		id, dup, err := s.Submit(w.kind, []byte(w.payload))

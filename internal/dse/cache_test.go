@@ -2,10 +2,13 @@ package dse
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -227,52 +230,190 @@ func TestCacheBytesMemoryOnly(t *testing.T) {
 	}
 }
 
-// TestCacheBytesCorruptEntryIsAMiss: a truncated or bit-flipped persisted
-// payload fails its checksum and degrades to a miss — wrong bytes are
-// never served.
-func TestCacheBytesCorruptEntryIsAMiss(t *testing.T) {
-	dir := t.TempDir()
+// segRecordLen is the on-disk size of one segment record.
+func segRecordLen(key string, payload []byte) int {
+	return segHeader + len(key) + len(payload) + segTrailer
+}
+
+// openCache opens a cache on dir or fails the test.
+func openCache(t *testing.T, dir string) *Cache {
+	t.Helper()
 	c, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.PutBytes("k", []byte("the payload"))
-	data, err := os.ReadFile(c.binPath("k"))
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// wantBytes asserts that key hits with payload want.
+func wantBytes(t *testing.T, label string, c *Cache, key, want string) {
+	t.Helper()
+	if b, ok := c.GetBytes(key); !ok || string(b) != want {
+		t.Errorf("%s: GetBytes(%q) = %q ok=%v, want %q", label, key, b, ok, want)
+	}
+}
+
+// wantMiss asserts that key misses.
+func wantMiss(t *testing.T, label string, c *Cache, key string) {
+	t.Helper()
+	if b, ok := c.GetBytes(key); ok {
+		t.Errorf("%s: GetBytes(%q) served %q, want a miss", label, key, b)
+	}
+}
+
+// TestCacheBytesCorruptEntryIsAMiss: a truncated, bit-flipped or garbage
+// last segment record fails its framing or checksum and degrades to a
+// miss — wrong bytes are never served — while the records before it
+// still hit.
+func TestCacheBytesCorruptEntryIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	c := openCache(t, dir)
+	payload := []byte("the payload")
+	if err := c.PutBytes("first", []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.PutBytes("k", payload); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	data, err := os.ReadFile(filepath.Join(dir, segName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := len(data) - segRecordLen("k", payload)
 	for name, corrupt := range map[string][]byte{
 		"truncated": data[:len(data)-3],
 		"bitflip":   append(append([]byte(nil), data[:len(data)-1]...), data[len(data)-1]^0x40),
-		"garbage":   []byte("not a cache entry"),
+		"garbage":   append(append([]byte(nil), data[:last]...), "not a cache entry"...),
 	} {
-		if err := os.WriteFile(c.binPath("k"), corrupt, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, segName), corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c2, err := NewCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b, ok := c2.GetBytes("k"); ok {
-			t.Errorf("%s: corrupt entry served as a hit (%q)", name, b)
-		}
+		c2 := openCache(t, dir)
+		wantMiss(t, name, c2, "k")
 		if s := c2.Stats(); s.Misses != 1 {
 			t.Errorf("%s: stats = %+v, want the corrupt read counted as a miss", name, s)
 		}
+		wantBytes(t, name, c2, "first", "kept")
+	}
+}
+
+// TestCacheSegmentTornTailRepair: an append after a torn tail must land
+// on the valid prefix, not behind the torn bytes — otherwise the next
+// open stops indexing at the tear and loses the new entry.
+func TestCacheSegmentTornTailRepair(t *testing.T) {
+	dir := t.TempDir()
+	c := openCache(t, dir)
+	for _, k := range []string{"a", "b"} {
+		if err := c.PutBytes(k, []byte("value "+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	path := filepath.Join(dir, segName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := openCache(t, dir)
+	wantBytes(t, "torn", c2, "a", "value a")
+	wantMiss(t, "torn", c2, "b")
+	if err := c2.PutBytes("c", []byte("value c")); err != nil {
+		t.Fatal(err)
+	}
+	c2.Close()
+
+	c3 := openCache(t, dir)
+	wantBytes(t, "reopen", c3, "a", "value a")
+	wantBytes(t, "reopen", c3, "c", "value c")
+	wantMiss(t, "reopen", c3, "b")
+}
+
+// TestCacheSegmentCrashDrill: the torn-write hook fails exactly one
+// append with ErrCrash, leaves that entry a miss for the next process,
+// and the same instance's next append repairs the tear.
+func TestCacheSegmentCrashDrill(t *testing.T) {
+	for _, torn := range []int{0, 7, 14} {
+		t.Run(fmt.Sprintf("torn=%d", torn), func(t *testing.T) {
+			dir := t.TempDir()
+			c := openCache(t, dir)
+			if err := c.PutBytes("a", []byte("value a")); err != nil {
+				t.Fatal(err)
+			}
+			c.SetCrashAfter(1, torn)
+			if err := c.PutBytes("b", []byte("value b")); !errors.Is(err, ErrCrash) {
+				t.Fatalf("armed PutBytes = %v, want ErrCrash", err)
+			}
+			wantMiss(t, "same instance", c, "b")
+
+			dead := openCache(t, dir) // what a process killed here leaves behind
+			wantBytes(t, "after kill", dead, "a", "value a")
+			wantMiss(t, "after kill", dead, "b")
+
+			if err := c.PutBytes("c", []byte("value c")); err != nil {
+				t.Fatalf("append after the drill: %v", err)
+			}
+			c.Close()
+			c2 := openCache(t, dir)
+			wantBytes(t, "repaired", c2, "a", "value a")
+			wantBytes(t, "repaired", c2, "c", "value c")
+			wantMiss(t, "repaired", c2, "b")
+		})
+	}
+}
+
+// TestCacheSegmentConcurrentPuts: concurrent appends (under -race in the
+// gate) interleave whole records; every entry is present after a reopen.
+func TestCacheSegmentConcurrentPuts(t *testing.T) {
+	dir := t.TempDir()
+	c := openCache(t, dir)
+	const workers, each = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				k := fmt.Sprintf("w%d/%d", w, i)
+				if err := c.PutBytes(k, []byte(strings.Repeat(k, i+1))); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	c.Close()
+	c2 := openCache(t, dir)
+	for w := 0; w < workers; w++ {
+		for i := 0; i < each; i++ {
+			k := fmt.Sprintf("w%d/%d", w, i)
+			wantBytes(t, "reopen", c2, k, strings.Repeat(k, i+1))
+		}
+	}
+	if s := c2.Stats(); s.Hits != workers*each || s.Misses != 0 {
+		t.Errorf("stats = %+v, want %d hits", s, workers*each)
 	}
 }
 
 // TestCacheBytesCallerMutationSafe: mutating the slice passed to PutBytes
 // after the call does not corrupt the stored entry.
 func TestCacheBytesCallerMutationSafe(t *testing.T) {
-	c, err := NewCache("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := []byte("original")
-	c.PutBytes("k", buf)
-	copy(buf, "mutated!")
-	if b, _ := c.GetBytes("k"); string(b) != "original" {
-		t.Fatalf("stored entry mutated: %q", b)
+	for _, dir := range []string{"", t.TempDir()} {
+		c := openCache(t, dir)
+		buf := []byte("original")
+		if err := c.PutBytes("k", buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "mutated!")
+		wantBytes(t, fmt.Sprintf("dir %q", dir), c, "k", "original")
+		if dir != "" {
+			c.Close()
+			wantBytes(t, "reopen", openCache(t, dir), "k", "original")
+		}
 	}
 }

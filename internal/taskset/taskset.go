@@ -176,14 +176,27 @@ type Result struct {
 // the full trace. An optional telemetry bus is attached to the RTOS
 // instance.
 func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
+	name := "taskset"
+	if s.CPUs > 1 {
+		name = "taskset-smp"
+	}
+	return Simulate(s, trace.New(name), bus...)
+}
+
+// Simulate is Run with the trace recorder chosen by the caller: rec
+// observes the run like an attached telemetry bus and is returned as
+// Result.Trace. A nil rec records nothing, so a caller that reads only
+// the statistics pays for no trace. The SMP scheduler records no trace
+// records (see runSMP); rec is returned as given.
+func Simulate(s *Set, rec *trace.Recorder, bus ...*telemetry.Bus) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if s.CPUs > 1 {
-		return runSMP(s)
+		return runSMP(s, rec)
 	}
 	if s.Engine == "rtc" {
-		return runRTC(s, len(bus))
+		return runRTC(s, rec, len(bus))
 	}
 	policyName := s.Policy
 	if policyName == "" {
@@ -211,11 +224,14 @@ func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	rtos := core.New(k, "PE", policy, core.WithTimeModel(tm))
-	rec := trace.New("taskset")
-	rec.Attach(rtos)
+	if rec != nil {
+		rec.Attach(rtos)
+	}
 	for _, b := range bus {
 		b.Attach(rtos)
-		rec.TeeMarkers(b)
+		if rec != nil {
+			rec.TeeMarkers(b)
+		}
 	}
 	rt, err := personality.New(s.Personality, rtos)
 	if err != nil {
@@ -292,8 +308,9 @@ func Run(s *Set, bus ...*telemetry.Bus) (*Result, error) {
 // runRTC simulates the set on the run-to-completion engine
 // (internal/rtc). The engine is trace-equivalent to the goroutine
 // kernel, so the result is byte-for-byte what Run would produce — it
-// just gets there without goroutines or channels.
-func runRTC(s *Set, busCount int) (*Result, error) {
+// just gets there without goroutines or channels. The engine records
+// trace records only when rec is non-nil.
+func runRTC(s *Set, rec *trace.Recorder, busCount int) (*Result, error) {
 	if busCount > 0 {
 		return nil, fmt.Errorf("taskset: engine \"rtc\" does not support a live telemetry bus; use the goroutine engine (drop \"engine\" or set it to \"goroutine\")")
 	}
@@ -325,7 +342,7 @@ func runRTC(s *Set, busCount int) (*Result, error) {
 		TimeModel:   tm,
 		Personality: s.Personality,
 		Horizon:     horizon,
-		Trace:       true,
+		Trace:       rec != nil,
 	}
 	for _, tj := range s.Tasks {
 		switch tj.Type {
@@ -360,9 +377,10 @@ func runRTC(s *Set, busCount int) (*Result, error) {
 	if r.Conservation != nil {
 		return nil, r.Conservation
 	}
-	rec := trace.New("taskset")
-	for _, rcd := range r.Records {
-		rec.Append(rcd)
+	if rec != nil {
+		for _, rcd := range r.Records {
+			rec.Append(rcd)
+		}
 	}
 	res := &Result{
 		Policy:      policy.Name(),
@@ -395,9 +413,9 @@ func runRTC(s *Set, busCount int) (*Result, error) {
 
 // runSMP simulates the set on the global multiprocessor scheduler
 // (Validate guarantees no personality is in play). The trace recorder is
-// returned empty: the SMP scheduler has its own observer surface and the
-// single-PE trace formats do not carry a CPU axis.
-func runSMP(s *Set) (*Result, error) {
+// returned untouched: the SMP scheduler has its own observer surface and
+// the single-PE trace formats do not carry a CPU axis.
+func runSMP(s *Set, rec *trace.Recorder) (*Result, error) {
 	var policy smp.Policy = smp.FixedPriority{}
 	if s.Policy == "g-edf" {
 		policy = smp.GEDF{}
@@ -466,7 +484,7 @@ func runSMP(s *Set) (*Result, error) {
 			Preemptions:     st.Preemptions,
 			BusyTime:        st.BusyTime,
 		},
-		Trace: trace.New("taskset-smp"),
+		Trace: rec,
 	}
 	for i, t := range tasks {
 		res.Tasks = append(res.Tasks, TaskResult{

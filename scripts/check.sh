@@ -61,11 +61,15 @@ go test -run 'TestCrossPersonalityCorpus' -count=1 ./internal/simcheck
 # corpus, the taskset-level matrix, and the SDL corpus (hierarchical
 # seq/par behaviors, handshakes, split stimulus/ISR interrupts:
 # figure3, vocoder, bus-driver) with its per-example golden traces.
-# (go test ./... above already ran these; the explicit pass keeps the
-# two-engine contract visible.)
+# The campaign's taskset cell, which runs untraced with an
+# aggregator-only telemetry bus, is pinned to the traced run with a full
+# capture on a seeded corpus over both engines: cell bytes and telemetry
+# reports byte-identical. (go test ./... above already ran these; the
+# explicit pass keeps the two-engine contract visible.)
 echo "== execution-engine equivalence (goroutine vs run-to-completion)"
 go test -run 'TestEngineEquivalence' -count=1 ./internal/simcheck ./internal/taskset
 go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
+go test -run 'TestCellEquivalence' -count=1 ./internal/campaign
 
 # Timer-boundary ordering: the hierarchical timing wheel must agree
 # with the reference heap on every boundary case the randomized
@@ -128,11 +132,12 @@ go run ./cmd/simbench -suite dse -check -tolerance 1.0
 
 # Campaign crash-resume gate: the simulation-as-a-service server
 # (cmd/simd, internal/campaign) is killed at every event-log position
-# mid-campaign and restarted; the finished campaign must be
-# byte-identical to the uninterrupted golden run — results, signed
-# receipts, canonical run state — with zero completed cells re-executed
-# (cache-hit accounting), at worker counts 1 and 8 under the race
-# detector. (go test -race ./... above already ran these; the explicit
+# and at every cache segment append mid-campaign and restarted; the
+# finished campaign must be byte-identical to the uninterrupted golden
+# run — results, signed receipts, canonical run state — with zero
+# completed cells re-executed (cache-hit accounting; a segment kill
+# re-runs only the cell it tore), at worker counts 1 and 8 under the
+# race detector. (go test -race ./... above already ran these; the explicit
 # pass keeps the crash-resume contract visible in the gate.)
 echo "== campaign crash-resume differential matrix (jobs 1 and 8)"
 go test -race -run 'TestCrashResume|TestResumeServesDoneJobsFromCache' -count=1 ./internal/campaign
