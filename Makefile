@@ -2,7 +2,7 @@
 # (scripts/check.sh). Everything is stdlib-only Go; there is no separate
 # build step beyond the toolchain's.
 
-.PHONY: check test build vet race race-batch fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline equivalence engine-equivalence checkpoint-equivalence timer-boundary iss-differential conformance personality-overhead dse-check simd campaign-resume
+.PHONY: check test build vet race race-batch aggregator-differential fuzz fuzz-telemetry fuzz-eventlog golden golden-update overhead soak faults bench bench-check bench-baseline bench-dse bench-dse-check bench-dse-baseline equivalence engine-equivalence checkpoint-equivalence timer-boundary iss-differential conformance personality-overhead dse-check simd campaign-resume
 
 check: ## full tier-1 gate: vet + build + race tests + simfuzz soak
 	./scripts/check.sh
@@ -21,6 +21,7 @@ race:
 
 race-batch: ## extra race-detector passes over the concurrency-critical packages
 	go test -race -count=2 ./internal/runner ./internal/simcheck
+	go test -race -run 'TestKillMatrix|TestConcurrentKernelsMatchSequential|TestShutdown|TestGoexitEndsRunCaller' -count=2 ./internal/sim
 
 fuzz: ## native Go fuzzing of the SDL parser (30s)
 	go test ./internal/sdl/ -fuzz FuzzParse -fuzztime 30s
@@ -42,6 +43,9 @@ golden: ## golden-trace diff against testdata/golden
 
 golden-update: ## regenerate the golden traces (review the diff!)
 	go test -run 'TestGoldenTrace' -count=1 -update .
+
+aggregator-differential: ## telemetry Aggregator fast path vs the map-keyed reference on seeded random event streams
+	go test -run 'TestAggregatorMatchesReference' -count=1 ./internal/telemetry
 
 overhead: ## telemetry overhead guard + benchmarks
 	TELEMETRY_OVERHEAD_GUARD=1 go test -run TestTelemetryOverheadGuard -count=1 -v .
@@ -73,7 +77,7 @@ bench-dse-baseline: ## re-record BENCH_dse.json (review the diff!)
 
 timer-boundary: ## timing-wheel boundary ordering: differential harness vs reference heap + RunUntil edges
 	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
-	go test -run 'TestRunUntilBoundary|TestWaitFor' -count=1 ./internal/sim
+	go test -run 'TestRunUntilBoundary|TestWaitFor|TestKillMatrix' -count=1 ./internal/sim
 
 iss-differential: ## fused ISS loop vs the one-Step-per-instruction reference: random programs at batch sizes 1/7/64 (traps, IRQs, every fault, self-loops)
 	go test -run 'TestFusedLoopMatchesReference|TestSelfLoopClosedForm' -count=1 ./internal/iss

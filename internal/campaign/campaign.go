@@ -628,6 +628,16 @@ func (s *Server) Done(id string) (<-chan struct{}, bool) {
 	return j.done, true
 }
 
+// hasJob reports whether id names an accepted job. Unlike Status it
+// merges no telemetry, so the result, receipt and cancel handlers use it
+// for their 404 check.
+func (s *Server) hasJob(id string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.jobs[id]
+	return ok
+}
+
 // JobIDs returns all job IDs in acceptance order.
 func (s *Server) JobIDs() []string {
 	s.mu.Lock()

@@ -126,7 +126,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.Status(id); !ok {
+	if !s.hasJob(id) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("campaign: unknown job %s", id))
 		return
 	}
@@ -141,7 +141,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.Status(id); !ok {
+	if !s.hasJob(id) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("campaign: unknown job %s", id))
 		return
 	}
@@ -155,7 +155,7 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.Status(id); !ok {
+	if !s.hasJob(id) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("campaign: unknown job %s", id))
 		return
 	}

@@ -9,8 +9,14 @@ import (
 // Kernel is the discrete-event simulation engine. Create one with
 // NewKernel, spawn one or more root processes with Spawn, then call Run
 // or RunUntil. A Kernel is not safe for concurrent use from multiple
-// goroutines: the cooperative handoff protocol guarantees that at most one
-// process goroutine (or the Run caller) touches kernel state at a time.
+// goroutines. Each process runs on its own coroutine stack (see worker),
+// and RunUntil is a trampoline: it resumes one process, which runs until
+// it blocks or finishes, names its successor in handoff, and switches
+// back. So at most one process (or the Run caller) touches kernel state
+// at a time, and every context switch is a pair of coroutine switches
+// with no channel and no Go-scheduler involvement. Because processes run
+// as coroutines of the Run caller, a panic or runtime.Goexit in a process
+// body surfaces on the Run caller's goroutine (see Proc).
 type Kernel struct {
 	now   Time
 	delta uint64
@@ -24,11 +30,9 @@ type Kernel struct {
 	timerSeq  int
 	timerFree []*timerEntry // recycled entries (zero-alloc steady state)
 
-	yield   chan struct{} // process -> kernel handoff
-	killAck chan struct{} // killed process -> killer handoff
-
 	running  *Proc
-	active   int // processes not yet finished
+	handoff  *Proc // successor named by switchTo, resumed by RunUntil
+	active   int   // processes not yet finished
 	stopped  bool
 	failure  error // set by Fail; returned by Run/RunUntil once stopped
 	panicked interface{}
@@ -48,10 +52,7 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{
-		yield:   make(chan struct{}),
-		killAck: make(chan struct{}),
-	}
+	k := &Kernel{}
 	k.timers = &heapTimers{k: k}
 	return k
 }
@@ -86,21 +87,18 @@ func (k *Kernel) Active() int { return k.active }
 // Shutdown the list is empty: process handles are recycled.
 func (k *Kernel) Procs() []*Proc { return k.procs }
 
-// procPool recycles Proc structs (and their resume channels) across
-// kernels, so batch workloads that create thousands of short-lived
-// kernels do not re-allocate one struct + channel per process per run.
-// A Proc enters the pool only from Kernel.Shutdown, once its goroutine
-// has terminated; holding a *Proc across Shutdown is valid only for
-// reading its final name/state until another kernel is created.
-var procPool = sync.Pool{New: func() interface{} {
-	return &Proc{resume: make(chan resumeMode)}
-}}
+// procPool recycles Proc structs across kernels, so batch workloads that
+// create thousands of short-lived kernels do not re-allocate one struct
+// per process per run. A Proc enters the pool only from Kernel.Shutdown,
+// once it has finished and given back its worker; holding a *Proc across
+// Shutdown is valid only for reading its final name/state until another
+// kernel is created.
+var procPool = sync.Pool{New: func() interface{} { return new(Proc) }}
 
-// newProc allocates (or recycles) a process and its goroutine (parked
-// until first resume).
+// newProc allocates (or recycles) a process. It gets a worker coroutine
+// on its first resume.
 func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
 	p := procPool.Get().(*Proc)
-	resume := p.resume
 	children := p.children[:0]
 	waitEvents := p.waitEvents[:0]
 	*p = Proc{
@@ -109,7 +107,6 @@ func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
 		name:       name,
 		fn:         fn,
 		state:      StateCreated,
-		resume:     resume,
 		parent:     parent,
 		children:   children,
 		waitEvents: waitEvents,
@@ -117,7 +114,6 @@ func (k *Kernel) newProc(name string, fn Func, parent *Proc) *Proc {
 	k.seq++
 	k.active++
 	k.procs = append(k.procs, p)
-	go p.run()
 	return p
 }
 
@@ -217,14 +213,14 @@ func (k *Kernel) RunUntil(limit Time) error {
 		}
 		k.running = p
 		k.Steps++
-		p.resume <- resumeRun
-		// Control returns here only when the process chain exhausts all
-		// runnable work up to the horizon (or stops/panics): blocking
-		// processes advance delta cycles and time themselves and hand the
-		// CPU directly to the next runnable process (switchTo) without
-		// bouncing through this loop.
-		<-k.yield
-		k.running = nil
+		// Trampoline: a process that blocks or finishes advances delta
+		// cycles and time itself (switchTo) and names its successor in
+		// k.handoff; the chain ends when no runnable work is left up to
+		// the horizon, or on stop, failure or panic.
+		for p != nil {
+			p.resume()
+			p, k.handoff = k.handoff, nil
+		}
 		if k.panicked != nil {
 			r := k.panicked
 			k.panicked = nil
@@ -256,8 +252,8 @@ func (k *Kernel) RunUntil(limit Time) error {
 // and simulated time (firing due timers) as needed. It returns nil when
 // control must go back to the Run caller: the horizon was passed, nothing
 // is scheduled, or a livelock was detected (recorded in k.runErr). It may
-// run on the Run caller's goroutine or on a blocking process's goroutine
-// (the fused handoff); the cooperative protocol guarantees exclusivity.
+// run on the Run caller's goroutine or on a blocking process's coroutine
+// (switchTo); the trampoline guarantees exclusivity.
 func (k *Kernel) nextRunnable() *Proc {
 	for {
 		if p := k.popReady(); p != nil {
@@ -285,15 +281,16 @@ func (k *Kernel) nextRunnable() *Proc {
 	}
 }
 
-// switchTo transfers control away from the calling process goroutine:
-// directly to the next runnable process when one exists (the fused
-// handoff — a single channel rendezvous per context switch), or back to
-// the Run caller otherwise (stop, panic propagation, horizon, deadlock).
-// When the next runnable turns out to be the calling process itself
-// (self == next: a solitary process whose own timer or delta-yield came
-// due), it returns true and the caller continues without any channel
-// operation at all.
+// switchTo picks the successor of a process that blocks (self) or has
+// finished (self == nil): it names the next runnable process in
+// k.handoff for the RunUntil trampoline to resume, or leaves k.handoff
+// nil to end the chain (stop, panic propagation, horizon, deadlock). The
+// caller then switches back to the trampoline. When the next runnable
+// turns out to be the calling process itself (self == next: a solitary
+// process whose own timer or delta-yield came due), it returns true and
+// the caller continues without any coroutine switch at all.
 func (k *Kernel) switchTo(self *Proc) bool {
+	k.running = nil
 	if !k.stopped && k.panicked == nil && k.runErr == nil {
 		if p := k.nextRunnable(); p != nil {
 			k.running = p
@@ -301,12 +298,9 @@ func (k *Kernel) switchTo(self *Proc) bool {
 			if p == self {
 				return true
 			}
-			p.resume <- resumeRun
-			return false
+			k.handoff = p
 		}
 	}
-	k.running = nil
-	k.yield <- struct{}{}
 	return false
 }
 
@@ -380,17 +374,17 @@ func (e *LivelockError) Error() string {
 	return fmt.Sprintf("sim: livelock at %s: %d delta cycles without time advancing", e.Time, e.Deltas)
 }
 
-// Shutdown terminates every remaining process so its goroutine exits, then
-// marks the kernel stopped. A kernel whose run has ended — at a RunUntil
-// horizon, by Stop, or by a propagated panic — still holds one parked
-// goroutine per unfinished process (daemons, blocked tasks); a batch
-// workload that creates thousands of kernels would accumulate them without
-// bound. Callers that own a kernel for a single run should defer Shutdown
-// right after NewKernel. Shutdown must not be called while the simulation
-// is running (i.e. from process code); it is idempotent and safe after a
-// deadlock, a horizon pause, or a re-raised process panic. Deferred
-// functions of killed processes run as for Kill and must not block on
-// simulation primitives.
+// Shutdown terminates every remaining process so its worker coroutine
+// returns to the pool, then marks the kernel stopped. A kernel whose run
+// has ended — at a RunUntil horizon, by Stop, or by a propagated panic —
+// still holds one parked coroutine per unfinished process (daemons,
+// blocked tasks); a batch workload that creates thousands of kernels
+// would accumulate them without bound. Callers that own a kernel for a
+// single run should defer Shutdown right after NewKernel. Shutdown must
+// not be called while the simulation is running (i.e. from process
+// code); it is idempotent and safe after a deadlock, a horizon pause, or
+// a re-raised process panic. Deferred functions of killed processes run
+// as for Kill and must not block on simulation primitives.
 //
 // Shutdown also recycles the kernel's process control blocks: *Proc
 // handles remain readable (final name and state) until the program creates
@@ -484,11 +478,16 @@ func (k *Kernel) kill(target, killer *Proc) {
 		target.timer = nil
 	}
 	k.removeFromQueues(target)
-	// Resume the parked goroutine in kill mode and wait for it to ack.
-	target.killSync = true
-	target.resume <- resumeKill
-	<-k.killAck
-	target.killSync = false
+	target.killed = true
+	if target.w == nil {
+		// Never started: there is no stack to unwind.
+		target.state = StateKilled
+		target.finish()
+		return
+	}
+	// Resume the parked coroutine, which unwinds through killedSignal and
+	// switches back here once finished.
+	target.resume()
 }
 
 // liveProcs returns non-daemon processes that are not done/killed — the

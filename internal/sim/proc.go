@@ -54,34 +54,30 @@ func (s State) String() string {
 	}
 }
 
-// resumeMode tells a blocked process goroutine why it was resumed.
-type resumeMode int
-
-const (
-	resumeRun  resumeMode = iota // continue normal execution
-	resumeKill                   // unwind: the process was killed
-)
-
 // killedSignal is the panic payload used to unwind a killed process
-// goroutine through its blocking primitive.
+// through its blocking primitive.
 type killedSignal struct{}
 
 // Func is the body of a simulation process.
 type Func func(p *Proc)
 
 // Proc is a simulation process: the SLDL notion of an independent thread
-// of control. Each Proc owns one goroutine; the kernel guarantees at most
-// one process goroutine executes at a time. All Proc methods except Name,
-// ID and State must only be called from the process's own goroutine while
-// it is running (i.e. from inside its Func) — except Kill, which is called
-// by another running process.
+// of control. Each Proc runs on its own goroutine stack, a pooled worker
+// coroutine taken on its first resume and given back when it finishes;
+// the kernel guarantees at most one process executes at a time. All Proc
+// methods except Name, ID and State must only be called from the
+// process's own Func while it is running — except Kill, which is called
+// by another running process. A panic in the body is recovered and
+// re-raised by Run on the caller's goroutine; a runtime.Goexit in the
+// body (t.FailNow, for one) propagates through the coroutine switch and
+// ends the Run caller's goroutine, not just the process.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	fn     Func
-	state  State
-	resume chan resumeMode
+	k     *Kernel
+	id    int
+	name  string
+	fn    Func
+	state State
+	w     *worker // coroutine running this process; nil before its first resume and once finished
 
 	parent      *Proc
 	joinsParent bool // true for Par children: completion decrements parent's join count
@@ -97,7 +93,7 @@ type Proc struct {
 
 	daemon        bool // daemons don't keep the simulation alive
 	killRequested bool
-	killSync      bool // finish() must ack on k.killAck instead of k.yield
+	killed        bool // resumed by Kill: unwind, and let the killer continue
 }
 
 // SetDaemon marks the process as a daemon: a simulation that has only
@@ -124,13 +120,8 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// run is the goroutine body of a process.
+// run executes the process body on its worker coroutine.
 func (p *Proc) run() {
-	if mode := <-p.resume; mode == resumeKill {
-		p.state = StateKilled
-		p.finish()
-		return
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedSignal); ok {
@@ -150,9 +141,9 @@ func (p *Proc) run() {
 	p.fn(p)
 }
 
-// finish performs end-of-life bookkeeping and returns control to whoever
-// is waiting for this goroutine to stop (the kernel loop, or the killing
-// process for a synchronous kill).
+// finish performs end-of-life bookkeeping and, unless the process was
+// killed by another (whose kill call continues once the worker switches
+// back), names the next runnable process for the trampoline.
 func (p *Proc) finish() {
 	p.k.active--
 	if p.parent != nil && p.joinsParent {
@@ -161,19 +152,17 @@ func (p *Proc) finish() {
 			p.k.enqueueNext(p.parent)
 		}
 	}
-	if p.killSync {
-		p.k.killAck <- struct{}{}
-		return
+	if !p.killed {
+		p.k.switchTo(nil) // a finished process is never the next runnable
 	}
-	p.k.switchTo(nil) // a finished process is never the next runnable
 }
 
 // yieldToKernel gives up the CPU and blocks until this process is resumed.
 // Must be called with p.state already updated to the blocking state. When
 // another process is runnable — in this delta cycle, a later one, or after
-// a time advance — control passes to it directly (see Kernel.switchTo);
+// a time advance — the trampoline resumes it next (see Kernel.switchTo);
 // when the next runnable is this process itself, execution continues
-// without blocking at all; otherwise control returns to the Run caller.
+// without suspending at all; otherwise control returns to the Run caller.
 // Panics with killedSignal if the process was killed while blocked.
 func (p *Proc) yieldToKernel() {
 	if p.k.switchTo(p) {
@@ -183,7 +172,8 @@ func (p *Proc) yieldToKernel() {
 		p.state = StateRunning
 		return
 	}
-	if mode := <-p.resume; mode == resumeKill {
+	p.suspend()
+	if p.killed {
 		panic(killedSignal{})
 	}
 	p.state = StateRunning
@@ -311,7 +301,7 @@ func (p *Proc) ParNamed(names []string, fns ...Func) {
 }
 
 // Kill forcibly terminates the target process and, recursively, all of its
-// children. The target's goroutine is unwound through its current blocking
+// children. The target's stack is unwound through its current blocking
 // primitive; deferred functions in the target run as usual. Killing self
 // unwinds the caller immediately. Killing an already-finished process is a
 // no-op.

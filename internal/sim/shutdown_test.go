@@ -28,15 +28,43 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		}
 		k.Shutdown()
 	}
-	// Let the killed goroutines finish their unwind.
+	waitGoroutines(t, before+5)
+
+	// Killed processes give their worker coroutines back to a bounded
+	// pool, and the pool stops the surplus: with four kernels of 128
+	// daemons each shut down together, twice the bound's worth of workers
+	// come back at once, yet no more than the bound may stay parked.
+	for i := 0; i < 1000; i += 4 {
+		var ks [4]*Kernel
+		for j := range ks {
+			k := NewKernel()
+			e := k.NewEvent("never")
+			for d := 0; d < 128; d++ {
+				k.Spawn("daemon", func(p *Proc) { p.Wait(e) }).SetDaemon(true)
+			}
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			ks[j] = k
+		}
+		for _, k := range ks {
+			k.Shutdown()
+		}
+	}
+	waitGoroutines(t, before+workerPoolMax)
+}
+
+// waitGoroutines waits for the goroutine count to drop to at most limit.
+func waitGoroutines(t *testing.T, limit int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= before+5 {
-			break
+		if n := runtime.NumGoroutine(); n <= limit {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines before=%d after=%d: shutdown leaks", before, runtime.NumGoroutine())
+			t.Fatalf("goroutines = %d, limit %d: shutdown leaks", runtime.NumGoroutine(), limit)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

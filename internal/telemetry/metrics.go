@@ -22,13 +22,14 @@ import (
 type Aggregator struct {
 	end    sim.Time
 	hasEnd bool
-	pes    map[string]*peAgg
-	order  []string
+	pes    []*peAgg // first-seen order
+	byName map[string]*peAgg
+	lastPE *peAgg // PE of the previous event; runs of events share one
 }
 
 // NewAggregator creates an empty aggregator.
 func NewAggregator() *Aggregator {
-	return &Aggregator{pes: map[string]*peAgg{}}
+	return &Aggregator{byName: map[string]*peAgg{}}
 }
 
 type peAgg struct {
@@ -43,9 +44,8 @@ type peAgg struct {
 	irqReturns  uint64
 
 	busy, idle sim.Time
-	curTask    map[int]string   // CPU slot -> running task ("" = idle)
-	lastRun    map[int]string   // CPU slot -> last non-idle task
-	lastAt     map[int]sim.Time // CPU slot -> last occupancy change
+	cpus       []cpuSlot        // indexed by CPU slot, up to maxDirectCPU
+	farCPUs    map[int]*cpuSlot // slots outside [0, maxDirectCPU)
 
 	readyAt   sim.Time
 	readyLen  int64
@@ -53,12 +53,26 @@ type peAgg struct {
 	readyMax  int64
 	readySeen bool
 
-	tasks     map[string]*taskAgg
-	taskOrder []string
+	tasks  []*taskAgg // first-seen order
+	byName map[string]*taskAgg
 }
+
+// cpuSlot is the occupancy state of one CPU slot of a PE.
+type cpuSlot struct {
+	seen    bool     // a dispatch was seen; at is valid
+	at      sim.Time // last occupancy change
+	cur     *taskAgg // running task (nil = idle)
+	lastRun *taskAgg // last non-idle task (nil = none yet)
+}
+
+// maxDirectCPU bounds the slice of CPU slots; Emit accepts any slot
+// number (a decoded stream can carry one), and the rare slot outside the
+// range lives in a map instead of sizing the slice.
+const maxDirectCPU = 64
 
 type taskAgg struct {
 	name        string
+	idx         int // position in peAgg.tasks
 	dispatches  uint64
 	preemptions uint64
 	releases    int
@@ -77,29 +91,46 @@ type taskAgg struct {
 }
 
 func (a *Aggregator) pe(name string) *peAgg {
-	p, ok := a.pes[name]
-	if !ok {
-		p = &peAgg{
-			name:    name,
-			curTask: map[int]string{},
-			lastRun: map[int]string{},
-			lastAt:  map[int]sim.Time{},
-			tasks:   map[string]*taskAgg{},
-		}
-		a.pes[name] = p
-		a.order = append(a.order, name)
+	if p := a.lastPE; p != nil && p.name == name {
+		return p
 	}
+	p, ok := a.byName[name]
+	if !ok {
+		p = &peAgg{name: name, byName: map[string]*taskAgg{}}
+		a.byName[name] = p
+		a.pes = append(a.pes, p)
+	}
+	a.lastPE = p
 	return p
 }
 
 func (p *peAgg) task(name string) *taskAgg {
-	t, ok := p.tasks[name]
-	if !ok {
-		t = &taskAgg{name: name}
-		p.tasks[name] = t
-		p.taskOrder = append(p.taskOrder, name)
+	if t, ok := p.byName[name]; ok {
+		return t
 	}
+	t := &taskAgg{name: name, idx: len(p.tasks)}
+	p.tasks = append(p.tasks, t)
+	p.byName[name] = t
 	return t
+}
+
+// slot returns the state of CPU slot cpu, creating it on first use.
+func (p *peAgg) slot(cpu int) *cpuSlot {
+	if cpu >= 0 && cpu < maxDirectCPU {
+		for len(p.cpus) <= cpu {
+			p.cpus = append(p.cpus, cpuSlot{})
+		}
+		return &p.cpus[cpu]
+	}
+	s, ok := p.farCPUs[cpu]
+	if !ok {
+		if p.farCPUs == nil {
+			p.farCPUs = map[int]*cpuSlot{}
+		}
+		s = &cpuSlot{}
+		p.farCPUs[cpu] = s
+	}
+	return s
 }
 
 // SetEnd fixes the end of the observation span (typically Kernel.Now()
@@ -121,24 +152,26 @@ func (a *Aggregator) Emit(e Event) {
 	switch e.Kind {
 	case KindDispatch:
 		// Charge the elapsed occupancy of this CPU slot before switching.
-		if last, ok := p.lastAt[e.CPU]; ok {
-			dt := e.At - last
-			if cur := p.curTask[e.CPU]; cur != "" {
+		s := p.slot(e.CPU)
+		if s.seen {
+			dt := e.At - s.at
+			if s.cur != nil {
 				p.busy += dt
-				p.task(cur).busy += dt
+				s.cur.busy += dt
 			} else {
 				p.idle += dt
 			}
 		}
-		p.curTask[e.CPU] = e.Task
-		p.lastAt[e.CPU] = e.At
+		s.seen, s.at, s.cur = true, e.At, nil
 		if e.Task != "" {
+			t := p.task(e.Task)
+			s.cur = t
 			p.dispatches++
-			p.task(e.Task).dispatches++
-			if lr, ok := p.lastRun[e.CPU]; ok && lr != e.Task {
+			t.dispatches++
+			if s.lastRun != nil && s.lastRun != t {
 				p.ctxSwitches++
 			}
-			p.lastRun[e.CPU] = e.Task
+			s.lastRun = t
 		}
 	case KindPreempt:
 		p.preemptions++
@@ -252,8 +285,7 @@ type Report struct {
 // It does not mutate the aggregator, so it can be called mid-simulation.
 func (a *Aggregator) Report() *Report {
 	r := &Report{}
-	for _, name := range a.order {
-		p := a.pes[name]
+	for _, p := range a.pes {
 		end := p.last
 		if a.hasEnd && a.end > end {
 			end = a.end
@@ -271,15 +303,24 @@ func (a *Aggregator) Report() *Report {
 			ReadyMax:        p.readyMax,
 		}
 		// Trailing occupancy and ready-queue intervals up to the end.
-		trailingBusy := map[string]sim.Time{}
-		for cpu, last := range p.lastAt {
-			dt := end - last
-			if cur := p.curTask[cpu]; cur != "" {
+		trailingBusy := make([]sim.Time, len(p.tasks))
+		trail := func(s *cpuSlot) {
+			if !s.seen {
+				return
+			}
+			dt := end - s.at
+			if s.cur != nil {
 				pr.Busy += dt
-				trailingBusy[cur] += dt
+				trailingBusy[s.cur.idx] += dt
 			} else {
 				pr.Idle += dt
 			}
+		}
+		for i := range p.cpus {
+			trail(&p.cpus[i])
+		}
+		for _, s := range p.farCPUs {
+			trail(s)
 		}
 		area := p.readyArea
 		if p.readySeen {
@@ -290,8 +331,7 @@ func (a *Aggregator) Report() *Report {
 			pr.ReadyMean = pr.readyArea / float64(pr.Span)
 			pr.Utilization = float64(pr.Busy) / float64(pr.Span)
 		}
-		for _, tn := range p.taskOrder {
-			t := p.tasks[tn]
+		for _, t := range p.tasks {
 			tr := TaskReport{
 				Task:        t.name,
 				Dispatches:  t.dispatches,
@@ -299,7 +339,7 @@ func (a *Aggregator) Report() *Report {
 				Releases:    t.releases,
 				Jobs:        t.completions,
 				Blocking:    t.blocking,
-				Busy:        t.busy + trailingBusy[t.name],
+				Busy:        t.busy + trailingBusy[t.idx],
 				RespSamples: append([]sim.Time(nil), t.resp...),
 			}
 			tr.fillRespStats()

@@ -23,6 +23,17 @@ go test -race ./...
 echo "== go test -race -count=2 ./internal/runner ./internal/simcheck"
 go test -race -count=2 ./internal/runner ./internal/simcheck
 
+# Coroutine kernel: goroutine-kernel processes run on pooled runtime
+# coroutines that migrate between the goroutines of concurrent kernels.
+# The kill matrix (every blocking primitive, never-started, self- and
+# child-kills, Shutdown after a horizon, a deadlock and a re-raised
+# panic), 8 goroutines x 200 kernels whose traces must equal a
+# sequential run, the bounded-pool goroutine count, and a Goexit in a
+# process body ending the Run caller, under the race detector with a
+# higher -count.
+echo "== coroutine kernel: kill matrix + concurrent kernels (-race)"
+go test -race -run 'TestKillMatrix|TestConcurrentKernelsMatchSequential|TestShutdown|TestGoexitEndsRunCaller' -count=2 ./internal/sim
+
 # Golden-trace diff: the canonical telemetry event streams of the two
 # example designs must match testdata/golden/ byte-for-byte, sequentially
 # and under the parallel batch engine. (go test ./... above already ran
@@ -36,6 +47,15 @@ go test -run 'TestGoldenTrace' -count=1 .
 # per-event allocation/formatting on the observer hot path).
 echo "== telemetry overhead guard"
 TELEMETRY_OVERHEAD_GUARD=1 go test -run TestTelemetryOverheadGuard -count=1 -v .
+
+# Telemetry aggregator differential: the Aggregator's fast path (cached
+# PE, per-CPU slice, per-slot task pointers) must produce byte-identical
+# marshalled reports to the map-keyed reference kept in
+# aggregator_ref_test.go, on seeded random event streams (several PEs,
+# SMP slots 0-3, more than 8 tasks per PE, markers, empty-PE events,
+# IRQs, terminal and non-terminal state changes).
+echo "== telemetry aggregator vs map-keyed reference"
+go test -run 'TestAggregatorMatchesReference' -count=1 ./internal/telemetry
 
 # Ready-queue equivalence: the indexed (bucketed) ready queue must make
 # byte-identical scheduling decisions to the original linear scan across
@@ -78,10 +98,11 @@ go test -run 'TestCellEquivalence' -count=1 ./internal/campaign
 # stay allocation-free. The sim edge cases pin WaitFor's in-place path
 # (a solitary process advancing the clock without the timer queue) to
 # the queued path's values on both backends: the RunUntil limit, ties,
-# pending delta cycles, Stop/Fail, snapshot timer digests.
+# pending delta cycles, Stop/Fail, snapshot timer digests. The kill
+# matrix pins the timer and wait-list cleanup of killed waits.
 echo "== timewheel boundary ordering + differential harness"
 go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
-go test -run 'TestRunUntilBoundary|TestWaitFor' -count=1 ./internal/sim
+go test -run 'TestRunUntilBoundary|TestWaitFor|TestKillMatrix' -count=1 ./internal/sim
 
 # ISS differential: the fused RunBatch interpreter loop must match the
 # original one-Step-per-instruction interpreter (kept in ref_test.go)
