@@ -75,8 +75,8 @@ bench-dse-check: ## gate the DSE scenarios against the committed BENCH_dse.json
 bench-dse-baseline: ## re-record BENCH_dse.json (review the diff!)
 	go run ./cmd/simbench -suite dse -out BENCH_dse.json
 
-timer-boundary: ## timing-wheel boundary ordering: differential harness vs reference heap + RunUntil edges
-	go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
+timer-boundary: ## timer-queue ordering: differential harness vs a sorted-slice reference + RunUntil edges
+	go test -run 'TestDifferentialVsSortedSlice|TestSameInstantSeqOrder|TestCancelUnqueued|TestZeroAllocSteadyState' -count=1 ./internal/timerq
 	go test -run 'TestRunUntilBoundary|TestWaitFor|TestKillMatrix' -count=1 ./internal/sim
 
 iss-differential: ## fused ISS loop vs the one-Step-per-instruction reference: random programs at batch sizes 1/7/64 (traps, IRQs, every fault, self-loops)

@@ -212,11 +212,23 @@ func TestDSESweepSharesCellsWithTaskset(t *testing.T) {
 // never executes, and its idempotency key is released for resubmission.
 func TestCancelQueuedJob(t *testing.T) {
 	s := openTestServer(t, t.TempDir(), 1)
-	// A fault battery keeps the dispatcher busy long enough to cancel the
-	// job queued behind it deterministically.
-	busy, _, err := s.Submit(KindFault, []byte(`{"seeds": [1, 2]}`))
-	if err != nil {
-		t.Fatal(err)
+	// A job whose one cell blocks until released keeps the single
+	// dispatcher busy, so the job queued behind it is cancelled while it
+	// is still queued however the goroutines are scheduled.
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unblock) // registered after Close, so it runs before it
+	busy := enqueueTestJob(t, s, "test:gate", func() ([]byte, *telemetry.Report, error) {
+		close(started)
+		<-release
+		return []byte("gate\n"), nil, nil
+	})
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("gate job never started")
 	}
 	victim, _, err := s.Submit(KindTaskset, []byte(tinySet))
 	if err != nil {
@@ -225,10 +237,14 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err := s.Cancel(victim); err != nil {
 		t.Fatal(err)
 	}
+	unblock()
 	waitDone(t, s, victim)
 	st, _ := s.Status(victim)
 	if st.Status != runstate.StatusCancelled {
 		t.Fatalf("victim status = %s", st.Status)
+	}
+	if n := s.Executions(); n != 1 {
+		t.Fatalf("executions = %d, want 1 (the gate cell only)", n)
 	}
 	if err := s.Cancel(victim); err == nil {
 		t.Fatal("cancelling a cancelled job succeeded")
@@ -240,6 +256,35 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	waitDone(t, s, again)
 	waitDone(t, s, busy)
+}
+
+// enqueueTestJob journals and queues a one-cell job whose cell is run,
+// as Submit would for a real kind, and returns its ID.
+func enqueueTestJob(t *testing.T, s *Server, key string, run func() ([]byte, *telemetry.Report, error)) string {
+	t.Helper()
+	s.mu.Lock()
+	s.nextID++
+	id := fmt.Sprintf("job-%06d", s.nextID)
+	j := &Job{
+		ID: id, Kind: "taskset", Key: key,
+		Payload:  []byte(`{}`),
+		cells:    []cellSpec{{key: "cell:" + key, label: key, run: run}},
+		cellDone: make([]bool, 1),
+		cellHash: make([]string, 1),
+		status:   runstate.StatusQueued,
+		done:     make(chan struct{}),
+	}
+	if err := s.log.Append(runstate.EvJobAccepted, runstate.JobAccepted{
+		ID: j.ID, Kind: j.Kind, Key: j.Key, Cells: []string{j.cells[0].key}, Payload: j.Payload,
+	}); err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	s.mu.Unlock()
+	s.queue <- j
+	return id
 }
 
 // TestWorkerLossRequeuedOnceAndFlagged: a cell whose worker panics is

@@ -4,7 +4,7 @@
 // churn) measured with the standard testing.Benchmark machinery and
 // reported as a machine-readable document (BENCH_kernel.json). A committed
 // baseline plus Compare turn the document into a regression gate: ns/op
-// within a tolerance, allocs/op never above baseline.
+// within a tolerance, allocs/op equal to baseline.
 package perf
 
 import (
@@ -139,9 +139,11 @@ func (r Report) find(name string) (Result, bool) {
 }
 
 // Compare checks cur against base and returns one violation message per
-// regression. Allocations are gated exactly — an allocs/op count above
-// baseline is a regression regardless of tolerance, because allocation
-// counts are deterministic. Time is gated within the relative tolerance
+// regression. Allocations are gated exactly, regardless of tolerance,
+// because allocation counts are deterministic: a count above baseline is
+// a regression, and a count below it is a stale baseline that would let
+// a later regression back up to the old count pass unnoticed, so the
+// baseline must be re-recorded. Time is gated within the relative tolerance
 // (tol = 0.5 allows ns/op up to 1.5x baseline), absorbing host noise.
 // Scenarios present in the baseline but missing from cur are violations;
 // scenarios new in cur are ignored.
@@ -153,9 +155,14 @@ func Compare(cur, base Report, tol float64) []string {
 			violations = append(violations, fmt.Sprintf("%s: scenario missing from current run", b.Name))
 			continue
 		}
-		if c.AllocsPerOp > b.AllocsPerOp {
+		switch {
+		case c.AllocsPerOp > b.AllocsPerOp:
 			violations = append(violations, fmt.Sprintf(
 				"%s: allocs/op regressed: %d > baseline %d",
+				b.Name, c.AllocsPerOp, b.AllocsPerOp))
+		case c.AllocsPerOp < b.AllocsPerOp:
+			violations = append(violations, fmt.Sprintf(
+				"%s: allocs/op fell below the stale baseline: %d < %d; re-record it",
 				b.Name, c.AllocsPerOp, b.AllocsPerOp))
 		}
 		if limit := b.NsPerOp * (1 + tol); c.NsPerOp > limit {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/timewheel"
+	"repro/internal/timerq"
 )
 
 // Time aliases the simulation time type so workloads move between the
@@ -66,16 +66,6 @@ func (e *event) removeWaiter(m *machine) {
 	}
 }
 
-// timerEntry is one pending timer: a machine timeout (m != nil) or a
-// timed notification (e != nil), fired in (at, seq) order.
-type timerEntry struct {
-	at   Time
-	seq  int
-	m    *machine
-	e    *event
-	node timewheel.Node[*timerEntry]
-}
-
 // kernel is the run-to-completion simulation core: the same delta-cycle
 // and timer microstructure as sim.Kernel, but machines resume by a plain
 // method call on one goroutine instead of a channel rendezvous per
@@ -88,15 +78,10 @@ type kernel struct {
 	readyAt int        // consumption index into ready
 	next    []*machine // runnable in the next delta cycle, FIFO
 
-	wheel     *timewheel.Wheel[*timerEntry]
-	timerSeq  int
-	timerFree []*timerEntry
-	due       []*timerEntry // scratch batch for CollectDue
-	// nextDue caches the wheel's earliest due time (valid only when
-	// nextDueOK); addTimer keeps it exact, cancel/fire invalidate it, so
-	// the common push-then-fire cycle skips the wheel's NextTime scan.
-	nextDue   Time
-	nextDueOK bool
+	// timers holds machine timeouts; the engine arms no timed
+	// notifications, so a timer always wakes a machine.
+	timers   timerq.Queue[*machine]
+	timerSeq int
 
 	machines []*machine
 	active   int
@@ -105,16 +90,6 @@ type kernel struct {
 	limit    Time
 
 	onStall func() error
-}
-
-func newKernel() *kernel {
-	return &kernel{
-		wheel: timewheel.New(
-			func(e *timerEntry) *timewheel.Node[*timerEntry] { return &e.node },
-			func(e *timerEntry) int64 { return int64(e.at) },
-			func(e *timerEntry) int { return e.seq },
-		),
-	}
 }
 
 // machine is one resumable control flow: the engine's replacement for a
@@ -132,7 +107,7 @@ type machine struct {
 
 	stack      []frame
 	waitEvents []*event
-	timer      *timerEntry
+	timer      *timerq.Timer[*machine]
 	wokenBy    *event
 	timedOut   bool
 
@@ -214,86 +189,35 @@ func (k *kernel) nextRunnable() *machine {
 			k.delta++
 			continue
 		}
-		t, ok := k.nextTime()
-		if !ok || t > k.limit {
+		t, ok := k.timers.Next()
+		if !ok || Time(t) > k.limit {
 			return nil
 		}
-		k.now = t
+		k.now = Time(t)
 		k.delta = 0
 		k.fireTimers(t)
 	}
 }
 
-// nextTime is wheel.NextTime behind the kernel's cache.
-func (k *kernel) nextTime() (Time, bool) {
-	if k.nextDueOK {
-		return k.nextDue, true
-	}
-	t, ok := k.wheel.NextTime()
-	if ok {
-		k.nextDue, k.nextDueOK = Time(t), true
-	}
-	return Time(t), ok
-}
-
-// fireTimers wakes every entry due at exactly t in (at, seq) order —
-// the order both sim timer backends are pinned to. Waking only enqueues
-// machines; none of them runs (and none can schedule a new timer) until
-// the scheduler loop resumes them, so one CollectDue batch is complete.
-func (k *kernel) fireTimers(t Time) {
-	k.nextDueOK = false // everything due at t leaves the wheel
-	k.due = k.wheel.CollectDue(int64(t), k.due[:0])
-	for _, e := range k.due {
-		if e.m != nil {
-			e.m.wakeFromTimer()
-		} else {
-			k.flush(e.e)
+// fireTimers wakes every machine whose timer is due at exactly t, in
+// (at, seq) order — sim.Kernel.fireTimers' order.
+func (k *kernel) fireTimers(t int64) {
+	for {
+		m, ok := k.timers.PopDue(t)
+		if !ok {
+			return
 		}
-		// No nil write into k.due: the entry goes straight onto the free
-		// pool, so the stale scratch slot retains nothing extra.
-		k.recycleTimer(e)
+		m.wakeFromTimer()
 	}
 }
 
-func (k *kernel) addTimer(at Time, m *machine, e *event) *timerEntry {
+func (k *kernel) addTimer(at Time, m *machine) *timerq.Timer[*machine] {
 	k.timerSeq++
-	var entry *timerEntry
-	if n := len(k.timerFree); n > 0 {
-		entry = k.timerFree[n-1]
-		k.timerFree = k.timerFree[:n-1]
-		entry.at, entry.seq, entry.m, entry.e = at, k.timerSeq, m, e
-	} else {
-		entry = &timerEntry{at: at, seq: k.timerSeq, m: m, e: e}
-	}
-	k.wheel.Push(entry)
-	if k.nextDueOK {
-		if at < k.nextDue {
-			k.nextDue = at
-		}
-	} else if k.wheel.Len() == 1 {
-		// The sole entry: the cache can be (re)seeded exactly. With other
-		// entries pending it stays invalid — one of them may be earlier.
-		k.nextDue, k.nextDueOK = at, true
-	}
-	return entry
-}
-
-func (k *kernel) recycleTimer(e *timerEntry) {
-	e.m, e.e = nil, nil
-	k.timerFree = append(k.timerFree, e)
-}
-
-func (k *kernel) cancelTimer(e *timerEntry) {
-	if k.wheel.Cancel(e) {
-		if k.nextDueOK && e.at == k.nextDue {
-			k.nextDueOK = false
-		}
-		k.recycleTimer(e)
-	}
+	return k.timers.Push(int64(at), k.timerSeq, m)
 }
 
 // pendingTimers counts live timers (the watchdog's hidden-stall check).
-func (k *kernel) pendingTimers() int { return k.wheel.Len() }
+func (k *kernel) pendingTimers() int { return k.timers.Len() }
 
 // flush wakes every current waiter of e into the next delta cycle
 // (sim.Event.flush, including its state guard and reslice idiom).
@@ -334,7 +258,7 @@ func (k *kernel) runUntil(limit Time) error {
 	if k.stopped {
 		return k.failure
 	}
-	if t, ok := k.wheel.NextTime(); ok && Time(t) > limit {
+	if t, ok := k.timers.Next(); ok && Time(t) > limit {
 		return nil // horizon reached; state preserved
 	}
 	live := 0
@@ -414,7 +338,7 @@ func (m *machine) sleep(d Time) {
 		m.yieldDelta()
 		return
 	}
-	m.timer = m.k.addTimer(m.k.now+d, m, nil)
+	m.timer = m.k.addTimer(m.k.now+d, m)
 	m.state = mWaitTime
 }
 
@@ -440,7 +364,7 @@ func (m *machine) waitTimeout(e *event, d Time) {
 	}
 	m.waitEvents = append(m.waitEvents[:0], e)
 	e.waiters = append(e.waiters, m)
-	m.timer = m.k.addTimer(m.k.now+d, m, nil)
+	m.timer = m.k.addTimer(m.k.now+d, m)
 	m.state = mWaitTimeout
 }
 
@@ -472,7 +396,7 @@ func (m *machine) wakeFromEvent(e *event) {
 		}
 	}
 	if m.timer != nil {
-		m.k.cancelTimer(m.timer)
+		m.k.timers.Cancel(m.timer)
 		m.timer = nil
 	}
 	m.wokenBy = e

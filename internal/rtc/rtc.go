@@ -5,10 +5,9 @@
 // switch is a method return plus an index increment — zero channel
 // operations — while every scheduling decision, accounting rule, and
 // trace record mirrors the goroutine kernel byte for byte (pinned by
-// internal/simcheck's engine-equivalence suite). Timers run on the
-// hierarchical timing wheel shared with the goroutine kernel
-// (internal/timewheel), which fires in the same (deadline, sequence)
-// order as the default binary heap.
+// internal/simcheck's engine-equivalence suite). Timers fire from the
+// (deadline, sequence)-ordered heap shared with the goroutine kernel
+// (internal/timerq).
 package rtc
 
 import (

@@ -58,7 +58,7 @@ func (s *Session) init(w Workload) error {
 	}
 	s.w, s.name, s.pers = w, name, pers
 
-	k := newKernel()
+	k := &kernel{}
 	os := newOSState(k, name)
 	os.tmodel = w.TimeModel
 	os.tracing = w.Trace

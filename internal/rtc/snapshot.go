@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -170,20 +169,10 @@ func (s *Session) Snapshot() (*Checkpoint, error) {
 		}
 	}
 
-	var timers []*timerEntry
-	k.wheel.Each(func(te *timerEntry) { timers = append(timers, te) })
-	sort.Slice(timers, func(i, j int) bool {
-		if timers[i].at != timers[j].at {
-			return timers[i].at < timers[j].at
-		}
-		return timers[i].seq < timers[j].seq
-	})
+	timers := k.timers.Sorted()
 	e.line("timers %d", len(timers))
 	for _, te := range timers {
-		if te.m == nil {
-			return nil, fmt.Errorf("rtc: snapshot found an event timer; the engine only arms machine timers")
-		}
-		e.line("ti at=%d seq=%d mach=%d", int64(te.at), te.seq, machIx[te.m])
+		e.line("ti at=%d seq=%d mach=%d", te.At, te.Seq, machIx[te.Val])
 	}
 
 	e.line("recs %d", len(os.recs))
@@ -237,7 +226,6 @@ func (s *Session) apply(cp *Checkpoint) error {
 		return err
 	}
 	k.now, k.delta, k.timerSeq = Time(now), uint64(delta), int(tseq)
-	k.nextDueOK = false
 
 	var cur, last, seq, fseq, act, wres int
 	var started, idleValid, delayValid bool
@@ -492,9 +480,7 @@ func (s *Session) apply(cp *Checkpoint) error {
 		if err != nil {
 			return err
 		}
-		entry := &timerEntry{at: Time(at), seq: tsq, m: m}
-		k.wheel.Push(entry)
-		m.timer = entry
+		m.timer = k.timers.Push(at, tsq, m)
 	}
 
 	var nRecs int

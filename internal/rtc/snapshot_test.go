@@ -52,11 +52,9 @@ func snapWorkloads() map[string]Workload {
 		}
 	}
 	// timerBatch parks three zero-compute tick tasks on the SAME
-	// next-release instant. The wheel part stays empty, so every re-push
-	// re-arms the front slot and its same-instant successors batch onto
-	// it: at any instant strictly inside a period the timewheel front
-	// slot holds a three-entry wake batch — the fast-path state the
-	// snapshot codec must carry (see timewheel.FastLen).
+	// next-release instant: at any instant strictly inside a period the
+	// timer queue holds a three-entry same-instant wake batch, whose seq
+	// order the snapshot codec must carry.
 	timerBatch := func() Workload {
 		return Workload{
 			Policy: "priority", Trace: true,
@@ -69,9 +67,8 @@ func snapWorkloads() map[string]Workload {
 		}
 	}
 	// timerOneshot adds a short-period tick ahead of the batch: at t=0 the
-	// lone task (highest priority, so first to re-push) arms the one-shot
-	// earliest-deadline slot while the trio's timers land in the wheel
-	// part behind it.
+	// lone task (highest priority, so first to re-push) queues the
+	// earliest deadline, with the trio's timers behind it.
 	timerOneshot := func() Workload {
 		w := timerBatch()
 		w.Tasks = append([]TaskDef{
@@ -158,28 +155,25 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	}
 }
 
-// TestSnapshotFastPathArmed pins that a checkpoint taken while the
-// timewheel fast path is engaged round-trips it exactly: Restore
-// re-pushes timers in (at, seq) order, so the earliest chain re-forms
-// the front slot at the same depth, and the continuation stays
-// byte-identical. Both fast-path shapes are covered — the multi-entry
-// same-instant wake batch and the one-shot earliest timer armed ahead
-// of a populated wheel part.
+// TestSnapshotFastPathArmed pins that a checkpoint taken with pending
+// timers round-trips them exactly: Restore re-pushes them with their
+// (at, seq) keys, and the continuation stays byte-identical. Two timer
+// shapes are covered — a multi-entry same-instant wake batch and a lone
+// earliest timer queued ahead of a batch.
 func TestSnapshotFastPathArmed(t *testing.T) {
 	ms := sim.Millisecond
 	ws := snapWorkloads()
 	cases := []struct {
 		workload string
 		instants []Time
-		fastLen  int // required front-slot depth at each instant
 		timers   int // required total pending timers
 	}{
-		// Strictly inside each 8 ms period the trio's next releases sit
-		// batched in the front slot and the wheel part is empty.
-		{"timer-batch", []Time{10 * ms, 20 * ms, 30 * ms}, 3, 3},
-		// Inside (0, 3 ms) the lone tick is armed one-shot with the
-		// trio's releases queued behind it in the wheel part.
-		{"timer-oneshot", []Time{2 * ms}, 1, 4},
+		// Strictly inside each 8 ms period the trio's next releases are
+		// the only pending timers, all due at one instant.
+		{"timer-batch", []Time{10 * ms, 20 * ms, 30 * ms}, 3},
+		// Inside (0, 3 ms) the lone tick is due first, with the trio's
+		// releases queued behind it.
+		{"timer-oneshot", []Time{2 * ms}, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.workload, func(t *testing.T) {
@@ -193,10 +187,7 @@ func TestSnapshotFastPathArmed(t *testing.T) {
 				if err := s.RunUntil(at); err != nil {
 					t.Fatalf("RunUntil(%v): %v", at, err)
 				}
-				if got := s.k.wheel.FastLen(); got != tc.fastLen {
-					t.Fatalf("at %v: front slot holds %d entries, want %d", at, got, tc.fastLen)
-				}
-				if got := s.k.wheel.Len(); got != tc.timers {
+				if got := s.k.pendingTimers(); got != tc.timers {
 					t.Fatalf("at %v: %d pending timers, want %d", at, got, tc.timers)
 				}
 				cp, err := s.Snapshot()
@@ -207,10 +198,7 @@ func TestSnapshotFastPathArmed(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Restore at %v: %v", at, err)
 				}
-				if got := r.k.wheel.FastLen(); got != tc.fastLen {
-					t.Fatalf("restored at %v: front slot holds %d entries, want %d", at, got, tc.fastLen)
-				}
-				if got := r.k.wheel.Len(); got != tc.timers {
+				if got := r.k.pendingTimers(); got != tc.timers {
 					t.Fatalf("restored at %v: %d pending timers, want %d", at, got, tc.timers)
 				}
 				r.RunUntil(w.Horizon)

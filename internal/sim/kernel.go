@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"repro/internal/timerq"
 )
 
 // Kernel is the discrete-event simulation engine. Create one with
@@ -26,9 +28,9 @@ type Kernel struct {
 	readyAt int     // consumption index into ready (avoids slice creep)
 	next    []*Proc // runnable in the next delta cycle, FIFO
 
-	timers    timerBackend // heap by default; see SetTimingWheel
-	timerSeq  int
-	timerFree []*timerEntry // recycled entries (zero-alloc steady state)
+	timers      timerq.Queue[timerTarget]
+	timerSeq    int
+	timerPushes int // timers queued (tests tell in-place waits apart)
 
 	running  *Proc
 	handoff  *Proc // successor named by switchTo, resumed by RunUntil
@@ -50,29 +52,15 @@ type Kernel struct {
 	Steps uint64
 }
 
-// NewKernel returns an empty kernel at time zero.
-func NewKernel() *Kernel {
-	k := &Kernel{}
-	k.timers = &heapTimers{k: k}
-	return k
+// timerTarget is what a timer wakes: a process timeout (p != nil) or a
+// timed event notification (e != nil).
+type timerTarget struct {
+	p *Proc
+	e *Event
 }
 
-// SetTimingWheel selects the timer backend: the hierarchical timing
-// wheel (on) or the default binary heap (off). The wheel turns the
-// O(log n) schedule/cancel of timer-churn workloads (timeouts that are
-// almost always canceled) into O(1); both backends fire in the identical
-// (time, seq) order, pinned by the differential test in this package.
-// The backend must be chosen before any timer is scheduled.
-func (k *Kernel) SetTimingWheel(on bool) {
-	if k.timers.live() > 0 {
-		panic("sim: SetTimingWheel with timers pending")
-	}
-	if on {
-		k.timers = newWheelTimers(k)
-	} else {
-		k.timers = &heapTimers{k: k}
-	}
-}
+// NewKernel returns an empty kernel at time zero.
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() Time { return k.now }
@@ -234,7 +222,7 @@ func (k *Kernel) RunUntil(limit Time) error {
 	if k.stopped {
 		return k.failure
 	}
-	if t, ok := k.timers.nextTime(); ok && t > limit {
+	if t, ok := k.timers.Next(); ok && Time(t) > limit {
 		return nil // time horizon reached; state preserved
 	}
 	if live := k.liveProcs(); len(live) > 0 {
@@ -271,11 +259,11 @@ func (k *Kernel) nextRunnable() *Proc {
 			}
 			continue
 		}
-		t, ok := k.timers.nextTime()
-		if !ok || t > k.limit {
+		t, ok := k.timers.Next()
+		if !ok || Time(t) > k.limit {
 			return nil // nothing scheduled, or horizon reached
 		}
-		k.now = t
+		k.now = Time(t)
 		k.delta = 0
 		k.fireTimers(t)
 	}
@@ -310,12 +298,12 @@ func (k *Kernel) switchTo(self *Proc) bool {
 // the RunUntil horizon, and every live timer is due strictly later (a tie
 // keeps its (at, seq) order only through the timer queue). It leaves the
 // kernel exactly as addTimer, switchTo, fireTimers and the self-resume
-// would, without touching the timer backend, and reports whether it did.
+// would, without touching the timer queue, and reports whether it did.
 func (k *Kernel) wakeAlone(at Time) bool {
 	if k.hasReady() || len(k.next) > 0 || k.stopped || k.panicked != nil || k.runErr != nil || at > k.limit {
 		return false
 	}
-	if t, ok := k.timers.nextTime(); ok && t <= at {
+	if t, ok := k.timers.Next(); ok && Time(t) <= at {
 		return false
 	}
 	k.timerSeq++ // the sequence number the timer would have drawn
@@ -348,13 +336,10 @@ type StallHandler func(at Time, live []*Proc) error
 // OnStall registers a stall handler; see StallHandler.
 func (k *Kernel) OnStall(h StallHandler) { k.stallHandlers = append(k.stallHandlers, h) }
 
-// PendingTimers returns the number of live (non-canceled) timer entries:
-// process timeouts and timed notifications not yet fired. Watchdog
-// processes use it to recognize that only their own timer keeps the
-// simulation alive.
-func (k *Kernel) PendingTimers() int {
-	return k.timers.live()
-}
+// PendingTimers returns the number of pending timer entries: process
+// timeouts and timed notifications not yet fired. Watchdog processes use
+// it to recognize that only their own timer keeps the simulation alive.
+func (k *Kernel) PendingTimers() int { return k.timers.Len() }
 
 // SetDeltaLimit bounds the number of delta cycles within one time step
 // (0 = unlimited, the default). A model that exchanges notifications
@@ -404,52 +389,26 @@ func (k *Kernel) Shutdown() {
 // fireTimers pops every timer entry scheduled at exactly time t, waking
 // timed-out processes into the (fresh) current delta cycle and flushing
 // timed notifications.
-func (k *Kernel) fireTimers(t Time) {
+func (k *Kernel) fireTimers(t int64) {
 	for {
-		e := k.timers.popDue(t)
-		if e == nil {
+		v, ok := k.timers.PopDue(t)
+		if !ok {
 			return
 		}
-		switch {
-		case e.p != nil:
-			e.p.wakeFromTimer()
-		case e.e != nil:
-			e.e.flush()
+		if v.p != nil {
+			v.p.wakeFromTimer()
+		} else {
+			v.e.flush()
 		}
-		k.recycleTimer(e)
 	}
 }
 
 // addTimer registers a timer entry: either a process timeout (p != nil) or
-// a timed event notification (e != nil). Entries are drawn from the
-// kernel's free list, so steady-state timer scheduling does not allocate.
-func (k *Kernel) addTimer(at Time, p *Proc, e *Event) *timerEntry {
+// a timed event notification (e != nil).
+func (k *Kernel) addTimer(at Time, p *Proc, e *Event) *timerq.Timer[timerTarget] {
 	k.timerSeq++
-	var entry *timerEntry
-	if n := len(k.timerFree); n > 0 {
-		entry = k.timerFree[n-1]
-		k.timerFree[n-1] = nil
-		k.timerFree = k.timerFree[:n-1]
-		entry.at, entry.seq, entry.p, entry.e, entry.canceled = at, k.timerSeq, p, e, false
-	} else {
-		entry = &timerEntry{at: at, seq: k.timerSeq, p: p, e: e}
-	}
-	k.timers.push(entry)
-	return entry
-}
-
-// recycleTimer returns a popped (no longer backend-resident) entry to the
-// free list.
-func (k *Kernel) recycleTimer(e *timerEntry) {
-	e.p, e.e = nil, nil
-	k.timerFree = append(k.timerFree, e)
-}
-
-// cancelTimer removes a pending entry; how immediately it is reclaimed is
-// the backend's affair (the heap cancels lazily, the wheel unlinks in
-// O(1)).
-func (k *Kernel) cancelTimer(e *timerEntry) {
-	k.timers.cancel(e)
+	k.timerPushes++
+	return k.timers.Push(int64(at), k.timerSeq, timerTarget{p, e})
 }
 
 // kill terminates target and its children recursively; see Proc.Kill.
@@ -474,7 +433,7 @@ func (k *Kernel) kill(target, killer *Proc) {
 	}
 	target.waitEvents = target.waitEvents[:0]
 	if target.timer != nil {
-		k.cancelTimer(target.timer)
+		k.timers.Cancel(target.timer)
 		target.timer = nil
 	}
 	k.removeFromQueues(target)

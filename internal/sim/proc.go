@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/timerq"
+)
 
 // State describes what a process is currently doing. Exposed for
 // diagnostics (deadlock reports) and for the RTOS model's bookkeeping.
@@ -87,7 +91,7 @@ type Proc struct {
 	// Blocking bookkeeping: events the process is registered on, the
 	// active timer entry (nil if none), and wake-up results.
 	waitEvents []*Event
-	timer      *timerEntry
+	timer      *timerq.Timer[timerTarget]
 	wokenBy    *Event
 	timedOut   bool
 
@@ -326,7 +330,7 @@ func (p *Proc) wakeFromEvent(e *Event) {
 		}
 	}
 	if p.timer != nil {
-		p.k.cancelTimer(p.timer)
+		p.k.timers.Cancel(p.timer)
 		p.timer = nil
 	}
 	p.wokenBy = e

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"sort"
 )
 
 // Checkpoint is a captured kernel state in a deterministic byte form:
@@ -49,32 +48,25 @@ func (k *Kernel) Snapshot() (*Checkpoint, error) {
 	fmt.Fprintf(&b, "procs %d\n", len(k.procs))
 	for _, p := range k.procs {
 		fmt.Fprintf(&b, "p %d name=%q state=%q daemon=%t timedout=%t timer=%t\n",
-			p.id, p.name, p.state.String(), p.daemon, p.timedOut, p.timer != nil && !p.timer.canceled)
+			p.id, p.name, p.state.String(), p.daemon, p.timedOut, p.timer != nil)
 		fmt.Fprintf(&b, "pw %d", len(p.waitEvents))
 		for _, ev := range p.waitEvents {
 			fmt.Fprintf(&b, " %q", ev.name)
 		}
 		b.WriteByte('\n')
 	}
-	var timers []*timerEntry
-	k.timers.each(func(e *timerEntry) { timers = append(timers, e) })
-	sort.Slice(timers, func(i, j int) bool {
-		if timers[i].at != timers[j].at {
-			return timers[i].at < timers[j].at
-		}
-		return timers[i].seq < timers[j].seq
-	})
+	timers := k.timers.Sorted()
 	fmt.Fprintf(&b, "timers %d\n", len(timers))
 	for _, e := range timers {
 		pid := -1
-		if e.p != nil {
-			pid = e.p.id
+		if e.Val.p != nil {
+			pid = e.Val.p.id
 		}
 		ename := "-"
-		if e.e != nil {
-			ename = e.e.name
+		if e.Val.e != nil {
+			ename = e.Val.e.name
 		}
-		fmt.Fprintf(&b, "ti at=%d seq=%d p=%d e=%q\n", int64(e.at), e.seq, pid, ename)
+		fmt.Fprintf(&b, "ti at=%d seq=%d p=%d e=%q\n", e.At, e.Seq, pid, ename)
 	}
 	return &Checkpoint{At: k.now, Delta: k.delta, State: b.Bytes()}, nil
 }

@@ -37,146 +37,43 @@ func snapModel(k *Kernel) *Event {
 // the same instant must produce byte-identical snapshots, and Restore
 // must accept the replayed twin.
 func TestSnapshotDeterministicAcrossReplay(t *testing.T) {
-	for _, wheel := range []bool{false, true} {
-		name := "heap"
-		if wheel {
-			name = "wheel"
+	// The subtest names the kernel's one (at, seq) timer heap.
+	t.Run("heap", func(t *testing.T) {
+		build := func() *Kernel {
+			k := NewKernel()
+			snapModel(k)
+			return k
 		}
-		t.Run(name, func(t *testing.T) {
-			build := func() *Kernel {
-				k := NewKernel()
-				k.SetTimingWheel(wheel)
-				snapModel(k)
-				return k
+		for _, at := range []Time{0, 5 * Millisecond, 13 * Millisecond} {
+			k1, k2 := build(), build()
+			if err := k1.RunUntil(at); err != nil {
+				t.Fatal(err)
 			}
-			for _, at := range []Time{0, 5 * Millisecond, 13 * Millisecond} {
-				k1, k2 := build(), build()
-				if err := k1.RunUntil(at); err != nil {
-					t.Fatal(err)
-				}
-				cp, err := k1.Snapshot()
-				if err != nil {
-					t.Fatalf("Snapshot at %v: %v", at, err)
-				}
-				if err := k2.RunUntil(at); err != nil {
-					t.Fatal(err)
-				}
-				if err := k2.Restore(cp); err != nil {
-					t.Errorf("Restore of replayed twin at %v: %v", at, err)
-				}
-				// Both must agree from here to the end.
-				k1.RunUntil(100 * Millisecond)
-				k2.RunUntil(100 * Millisecond)
-				s1, err1 := k1.Snapshot()
-				s2, err2 := k2.Snapshot()
-				if err1 != nil || err2 != nil {
-					t.Fatalf("final snapshots: %v / %v", err1, err2)
-				}
-				if !bytes.Equal(s1.State, s2.State) {
-					t.Errorf("kernels diverged after restore at %v", at)
-				}
-				k1.Shutdown()
-				k2.Shutdown()
+			cp, err := k1.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot at %v: %v", at, err)
 			}
-		})
-	}
-}
-
-// TestSnapshotBackendAgnostic: the digest describes scheduler state, not
-// the timer data structure, so heap and wheel kernels at the same
-// instant snapshot identically.
-func TestSnapshotBackendAgnostic(t *testing.T) {
-	kh, kw := NewKernel(), NewKernel()
-	kw.SetTimingWheel(true)
-	snapModel(kh)
-	snapModel(kw)
-	at := 9 * Millisecond
-	if err := kh.RunUntil(at); err != nil {
-		t.Fatal(err)
-	}
-	if err := kw.RunUntil(at); err != nil {
-		t.Fatal(err)
-	}
-	ch, err := kh.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kw.Restore(ch); err != nil {
-		t.Errorf("wheel kernel does not match heap kernel checkpoint: %v", err)
-	}
-	kh.Shutdown()
-	kw.Shutdown()
-}
-
-// TestSnapshotTimerDigestCrossBackend: identical pending timer sets must
-// digest to identical bytes regardless of backend, including sets that
-// engage the wheel's front-slot fast path — a same-instant wake batch
-// (several procs parked on one instant) and a one-shot earliest timer
-// ahead of a backlog. The digest sorts by (at, seq), so this pins both
-// that ordering and that each backend's each() visits every live entry
-// (the wheel must not skip its armed front-slot chain).
-func TestSnapshotTimerDigestCrossBackend(t *testing.T) {
-	// batchModel parks three procs on the same 8 ms tick (the wheel side
-	// re-arms and batches them in the front slot) plus one short-period
-	// proc whose next timer re-arms the one-shot slot, and a long timer
-	// that stays in the wheel part behind it.
-	batchModel := func(k *Kernel) {
-		for i := 0; i < 3; i++ {
-			k.Spawn("tick", func(p *Proc) {
-				for {
-					p.WaitFor(8 * Millisecond)
-				}
-			}).SetDaemon(true)
-		}
-		k.Spawn("lone", func(p *Proc) {
-			for {
-				p.WaitFor(3 * Millisecond)
+			if err := k2.RunUntil(at); err != nil {
+				t.Fatal(err)
 			}
-		}).SetDaemon(true)
-		k.Spawn("slow", func(p *Proc) {
-			for {
-				p.WaitFor(13 * Millisecond)
+			if err := k2.Restore(cp); err != nil {
+				t.Errorf("Restore of replayed twin at %v: %v", at, err)
 			}
-		}).SetDaemon(true)
-	}
-	for _, at := range []Time{2 * Millisecond, 10 * Millisecond, 20 * Millisecond, 30 * Millisecond} {
-		kh, kw := NewKernel(), NewKernel()
-		kw.SetTimingWheel(true)
-		batchModel(kh)
-		batchModel(kw)
-		if err := kh.RunUntil(at); err != nil {
-			t.Fatal(err)
-		}
-		if err := kw.RunUntil(at); err != nil {
-			t.Fatal(err)
-		}
-		ch, err := kh.Snapshot()
-		if err != nil {
-			t.Fatalf("heap snapshot at %v: %v", at, err)
-		}
-		cw, err := kw.Snapshot()
-		if err != nil {
-			t.Fatalf("wheel snapshot at %v: %v", at, err)
-		}
-		if !bytes.Equal(ch.State, cw.State) {
-			hl := strings.Split(string(ch.State), "\n")
-			wl := strings.Split(string(cw.State), "\n")
-			n := len(hl)
-			if len(wl) < n {
-				n = len(wl)
+			// Both must agree from here to the end.
+			k1.RunUntil(100 * Millisecond)
+			k2.RunUntil(100 * Millisecond)
+			s1, err1 := k1.Snapshot()
+			s2, err2 := k2.Snapshot()
+			if err1 != nil || err2 != nil {
+				t.Fatalf("final snapshots: %v / %v", err1, err2)
 			}
-			diff := "length differs"
-			for i := 0; i < n; i++ {
-				if hl[i] != wl[i] {
-					diff = "heap " + hl[i] + " vs wheel " + wl[i]
-					break
-				}
+			if !bytes.Equal(s1.State, s2.State) {
+				t.Errorf("kernels diverged after restore at %v", at)
 			}
-			t.Errorf("timer digests diverge at %v: %s", at, diff)
+			k1.Shutdown()
+			k2.Shutdown()
 		}
-		kh.Shutdown()
-		kw.Shutdown()
-	}
+	})
 }
 
 // TestRestoreDetectsDivergence: a kernel at the wrong time or with a

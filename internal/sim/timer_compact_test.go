@@ -2,11 +2,9 @@ package sim
 
 import "testing"
 
-// TestTimerCancelCompaction pins the heap-compaction invariant directly:
-// canceled entries are dropped eagerly once they reach timerCompactMin and
-// would make up half the heap, so a cancel-heavy run keeps the heap's
-// physical length bounded by the live timer count, not by the cancelation
-// history.
+// TestTimerCancelCompaction pins eager cancelation: a canceled timer
+// leaves the heap at once, so a cancel-heavy run keeps the heap's length
+// equal to the live timer count, not to the cancelation history.
 func TestTimerCancelCompaction(t *testing.T) {
 	k := NewKernel()
 	defer k.Shutdown()
@@ -18,7 +16,6 @@ func TestTimerCancelCompaction(t *testing.T) {
 	bg := k.Spawn("bg", func(p *Proc) { p.WaitFor(Forever - 1) })
 	bg.SetDaemon(true)
 
-	maxLen := 0
 	k.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
 			// Schedule a timeout timer, then have it canceled by the
@@ -27,14 +24,11 @@ func TestTimerCancelCompaction(t *testing.T) {
 				t.Error("timeout fired; expected notification")
 				return
 			}
-			if n := k.timerHeapLen(); n > maxLen {
-				maxLen = n
+			// Only the background timer is live.
+			if n, live := k.timers.Len(), k.PendingTimers(); n != 1 || live != 1 {
+				t.Errorf("round %d: heap holds %d entries, %d pending; want 1 and 1", i, n, live)
+				return
 			}
-		}
-		// The waiter's own timers have all been canceled; only the
-		// background timer is live, whatever the physical heap holds.
-		if got := k.PendingTimers(); got != 1 {
-			t.Errorf("PendingTimers mid-run = %d, want 1 (background timer)", got)
 		}
 	})
 	k.Spawn("notifier", func(p *Proc) {
@@ -46,50 +40,4 @@ func TestTimerCancelCompaction(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-
-	// At any instant there are at most 2 live timers (background + the
-	// waiter's current timeout). Compaction triggers once canceled entries
-	// reach timerCompactMin and outnumber live ones, so the physical heap
-	// must stay within the threshold band — far below the 10k cancels.
-	bound := 2 * (timerCompactMin + 2)
-	if maxLen > bound {
-		t.Errorf("timer heap grew to %d entries across %d cancels, want <= %d", maxLen, rounds, bound)
-	}
 }
-
-// TestTimerCompactionBelowThreshold pins the other side of the threshold:
-// a handful of cancels is tolerated in place (popped lazily) rather than
-// triggering a compaction sweep, and PendingTimers excludes them.
-func TestTimerCompactionBelowThreshold(t *testing.T) {
-	k := NewKernel()
-	defer k.Shutdown()
-	ev := k.NewEvent("ev")
-	k.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < timerCompactMin/2; i++ {
-			if !p.WaitTimeout(ev, Second) {
-				t.Error("timeout fired; expected notification")
-				return
-			}
-		}
-		// All cancels are still physically in the heap (no compaction has
-		// run: the count never reached timerCompactMin), but none are live.
-		if got := k.PendingTimers(); got != 0 {
-			t.Errorf("PendingTimers mid-run = %d, want 0", got)
-		}
-		if k.timers.(*heapTimers).canceled == 0 {
-			t.Error("expected lazily retained canceled entries below the compaction threshold")
-		}
-	})
-	k.Spawn("notifier", func(p *Proc) {
-		for i := 0; i < timerCompactMin/2; i++ {
-			p.Notify(ev)
-			p.YieldDelta()
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// timerHeapLen exposes the physical heap length to tests in this package.
-func (k *Kernel) timerHeapLen() int { return len(k.timers.(*heapTimers).h) }

@@ -2,9 +2,9 @@ package sim
 
 // Tests for WaitFor's in-place path: a process whose own wake-up is the
 // next thing to happen advances the clock itself instead of going through
-// the timer queue. Each case pins the values the queued path produces, on
-// both timer backends, and checks which path was taken by counting the
-// pushes that reach the backend.
+// the timer queue. Each case pins the values the queued path produces,
+// and checks which path was taken by counting the timers that reach the
+// queue.
 
 import (
 	"errors"
@@ -13,43 +13,18 @@ import (
 	"testing"
 )
 
-// countingTimers counts the entries pushed into the wrapped backend.
-type countingTimers struct {
-	timerBackend
-	pushes int
-}
-
-func (c *countingTimers) push(e *timerEntry) {
-	c.pushes++
-	c.timerBackend.push(e)
-}
-
-// newCountingKernel returns a kernel on the chosen backend whose pushes
-// are counted.
-func newCountingKernel(wheel bool) (*Kernel, *countingTimers) {
-	k := NewKernel()
-	k.SetTimingWheel(wheel)
-	ct := &countingTimers{timerBackend: k.timers}
-	k.timers = ct
-	return k, ct
-}
-
-func forBothBackends(t *testing.T, f func(t *testing.T, wheel bool)) {
-	for _, wheel := range []bool{false, true} {
-		name := "heap"
-		if wheel {
-			name = "wheel"
-		}
-		t.Run(name, func(t *testing.T) { f(t, wheel) })
-	}
+// onTimerHeap runs f as the "heap" subtest: the kernel's one (at, seq)
+// timer heap is the queue whose pushes each case counts.
+func onTimerHeap(t *testing.T, f func(t *testing.T)) {
+	t.Run("heap", f)
 }
 
 // TestWaitForAloneAtLimit: a wake exactly at the RunUntil limit happens in
 // place; one tick past it the timer is queued and RunUntil returns at the
 // horizon with it pending.
 func TestWaitForAloneAtLimit(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, wheel bool) {
-		k, ct := newCountingKernel(wheel)
+	onTimerHeap(t, func(t *testing.T) {
+		k := NewKernel()
 		defer k.Shutdown()
 		var woke []string
 		p := k.Spawn("p", func(p *Proc) {
@@ -65,9 +40,9 @@ func TestWaitForAloneAtLimit(t *testing.T) {
 			t.Fatalf("woke %q, want the wake at the limit only", got)
 		}
 		if k.Now() != 100 || k.timerSeq != 2 || k.Steps != 2 || k.PendingTimers() != 1 ||
-			p.State() != StateWaitTime || ct.pushes != 1 {
+			p.State() != StateWaitTime || k.timerPushes != 1 {
 			t.Fatalf("at horizon: now=%d timerSeq=%d steps=%d pending=%d state=%v pushes=%d",
-				k.Now(), k.timerSeq, k.Steps, k.PendingTimers(), p.State(), ct.pushes)
+				k.Now(), k.timerSeq, k.Steps, k.PendingTimers(), p.State(), k.timerPushes)
 		}
 		if err := k.RunUntil(101); err != nil {
 			t.Fatal(err)
@@ -82,8 +57,8 @@ func TestWaitForAloneAtLimit(t *testing.T) {
 // already-pending timer is queued behind it, so the earlier-sequenced
 // process wakes first.
 func TestWaitForTieKeepsSeqOrder(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, wheel bool) {
-		k, ct := newCountingKernel(wheel)
+	onTimerHeap(t, func(t *testing.T) {
+		k := NewKernel()
 		defer k.Shutdown()
 		var order []string
 		body := func(p *Proc) {
@@ -95,8 +70,8 @@ func TestWaitForTieKeepsSeqOrder(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if got := strings.Join(order, " "); got != "first@100/0 second@100/0" || ct.pushes != 2 {
-			t.Fatalf("order %q pushes=%d, want first then second through the queue", got, ct.pushes)
+		if got := strings.Join(order, " "); got != "first@100/0 second@100/0" || k.timerPushes != 2 {
+			t.Fatalf("order %q pushes=%d, want first then second through the queue", got, k.timerPushes)
 		}
 		if k.timerSeq != 2 || k.Steps != 4 {
 			t.Fatalf("timerSeq=%d steps=%d", k.timerSeq, k.Steps)
@@ -108,8 +83,8 @@ func TestWaitForTieKeepsSeqOrder(t *testing.T) {
 // next delta cycle runs before the clock moves, and a wait taken in place
 // from a later delta cycle wakes in delta cycle 0.
 func TestWaitForWithPendingDelta(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, wheel bool) {
-		k, ct := newCountingKernel(wheel)
+	onTimerHeap(t, func(t *testing.T) {
+		k := NewKernel()
 		defer k.Shutdown()
 		var order []string
 		mark := func(p *Proc) {
@@ -128,12 +103,12 @@ func TestWaitForWithPendingDelta(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := "child@0/1 parent@10/0 parent@10/1 parent@20/0"
-		if got := strings.Join(order, " "); got != want || ct.pushes != 1 || k.timerSeq != 2 {
+		if got := strings.Join(order, " "); got != want || k.timerPushes != 1 || k.timerSeq != 2 {
 			t.Fatalf("order %q pushes=%d timerSeq=%d, want %q with only the first wait queued",
-				got, ct.pushes, k.timerSeq, want)
+				got, k.timerPushes, k.timerSeq, want)
 		}
 
-		k2, ct2 := newCountingKernel(wheel)
+		k2 := NewKernel()
 		defer k2.Shutdown()
 		order = order[:0]
 		k2.Spawn("first", func(p *Proc) {
@@ -144,8 +119,8 @@ func TestWaitForWithPendingDelta(t *testing.T) {
 		if err := k2.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if got := strings.Join(order, " "); got != "second@0/0 first@10/0" || ct2.pushes != 1 {
-			t.Fatalf("order %q pushes=%d, want second first and the wait queued", got, ct2.pushes)
+		if got := strings.Join(order, " "); got != "second@0/0 first@10/0" || k2.timerPushes != 1 {
+			t.Fatalf("order %q pushes=%d, want second first and the wait queued", got, k2.timerPushes)
 		}
 	})
 }
@@ -163,8 +138,8 @@ func TestWaitForAfterStopOrFail(t *testing.T) {
 		{"fail", func(p *Proc) { p.k.Fail(boom) }, boom},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			forBothBackends(t, func(t *testing.T, wheel bool) {
-				k, ct := newCountingKernel(wheel)
+			onTimerHeap(t, func(t *testing.T) {
+				k := NewKernel()
 				defer k.Shutdown()
 				after := false
 				p := k.Spawn("p", func(p *Proc) {
@@ -177,9 +152,9 @@ func TestWaitForAfterStopOrFail(t *testing.T) {
 					t.Fatalf("Run = %v, want %v", err, tc.want)
 				}
 				if after || k.Now() != 5 || p.State() != StateWaitTime || k.PendingTimers() != 1 ||
-					k.timerSeq != 2 || ct.pushes != 1 {
+					k.timerSeq != 2 || k.timerPushes != 1 {
 					t.Fatalf("after=%t now=%d state=%v pending=%d timerSeq=%d pushes=%d",
-						after, k.Now(), p.State(), k.PendingTimers(), k.timerSeq, ct.pushes)
+						after, k.Now(), p.State(), k.PendingTimers(), k.timerSeq, k.timerPushes)
 				}
 			})
 		})
@@ -193,10 +168,10 @@ func TestWaitForAfterStopOrFail(t *testing.T) {
 // of them through the timer queue. (The delta cycle is left out: the
 // forcer's own wake-ups add one.)
 func TestWaitForInPlaceSnapshotDigest(t *testing.T) {
-	forBothBackends(t, func(t *testing.T, wheel bool) {
+	onTimerHeap(t, func(t *testing.T) {
 		const waits = 40
 		run := func(forced bool) ([]string, int) {
-			k, ct := newCountingKernel(wheel)
+			k := NewKernel()
 			defer k.Shutdown()
 			poke, tick := k.NewEvent("poke"), k.NewEvent("tick")
 			k.Spawn("loop", func(p *Proc) {
@@ -229,7 +204,7 @@ func TestWaitForInPlaceSnapshotDigest(t *testing.T) {
 				}
 				digests = append(digests, timerDigest(string(cp.State)))
 			}
-			return digests, ct.pushes
+			return digests, k.timerPushes
 		}
 		alone, pushesAlone := run(false)
 		forced, pushesForced := run(true)

@@ -91,17 +91,18 @@ go test -run 'TestEngineEquivalence' -count=1 ./internal/simcheck ./internal/tas
 go test -run 'TestEngineEquivalence|TestGoldenTracesSDL' -count=1 ./internal/sdl
 go test -run 'TestCellEquivalence' -count=1 ./internal/campaign
 
-# Timer-boundary ordering: the hierarchical timing wheel must agree
-# with the reference heap on every boundary case the randomized
-# differential harness can produce — slot/level edges, same-instant
-# FIFO order, front-slot (fast path) arming — and its steady state must
+# Timer-boundary ordering: the timer queue both engines fire from must
+# agree with a sorted-slice reference on every schedule / cancel /
+# advance interleaving the randomized differential harness produces —
+# same-instant seq order, cancel of fired or never-queued entries, Len
+# equal to the live count after every step — and its steady state must
 # stay allocation-free. The sim edge cases pin WaitFor's in-place path
 # (a solitary process advancing the clock without the timer queue) to
-# the queued path's values on both backends: the RunUntil limit, ties,
-# pending delta cycles, Stop/Fail, snapshot timer digests. The kill
-# matrix pins the timer and wait-list cleanup of killed waits.
-echo "== timewheel boundary ordering + differential harness"
-go test -run 'TestDifferentialVsHeap|TestSameInstantSeqOrder|TestFrontSlot|TestEachEnumeratesAll|TestZeroAllocSteadyState' -count=1 ./internal/timewheel
+# the queued path's values: the RunUntil limit, ties, pending delta
+# cycles, Stop/Fail, snapshot timer digests. The kill matrix pins the
+# timer and wait-list cleanup of killed waits.
+echo "== timer queue boundary ordering + differential harness"
+go test -run 'TestDifferentialVsSortedSlice|TestSameInstantSeqOrder|TestCancelUnqueued|TestZeroAllocSteadyState' -count=1 ./internal/timerq
 go test -run 'TestRunUntilBoundary|TestWaitFor|TestKillMatrix' -count=1 ./internal/sim
 
 # ISS differential: the fused RunBatch interpreter loop must match the
